@@ -47,18 +47,25 @@ _SPLIT_TAG = 0x53504C54  # "SPLT"
 # ---------------------------------------------------------------------------
 
 
-def write_feature_file(path, array: np.ndarray) -> None:
-    """Serialize one tensor; round-trips bitwise through read_feature_file."""
+def _tensor_block(array: np.ndarray) -> list[bytes]:
+    """Header and little-endian payload of one tensor block, as byte strings."""
     arr = np.ascontiguousarray(array)
     if arr.dtype not in _CODE_FOR_DTYPE:
         raise InputError(f"unsupported dtype {arr.dtype}; use float32 or float64")
-    code = _CODE_FOR_DTYPE[arr.dtype]
+    return [
+        MAGIC,
+        struct.pack("<HB", VERSION, _CODE_FOR_DTYPE[arr.dtype]),
+        struct.pack("<I", arr.ndim),
+        struct.pack(f"<{arr.ndim}I", *arr.shape),
+        arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes(),
+    ]
+
+
+def write_feature_file(path, array: np.ndarray) -> None:
+    """Serialize one tensor; round-trips bitwise through read_feature_file."""
+    block = _tensor_block(array)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<HB", VERSION, code))
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        f.writelines(block)
 
 
 def read_feature_file(path) -> np.ndarray:
@@ -68,15 +75,20 @@ def read_feature_file(path) -> np.ndarray:
     return arr
 
 
+def _unpack(fmt: str, blob: bytes, off: int, name: str, field: str) -> tuple:
+    """``struct.unpack_from`` that reports a short read as a FormatError."""
+    if off + struct.calcsize(fmt) > len(blob):
+        raise FormatError(f"{name}: truncated {field}", offset=off)
+    return struct.unpack_from(fmt, blob, off)
+
+
 def _parse_tensor_block(blob: bytes, base: int, name: str) -> tuple[np.ndarray, int]:
     """Parse one tensor block starting at ``base``; returns (array, end offset)."""
     off = base
     if blob[off : off + 4] != MAGIC:
         raise FormatError(f"{name}: bad magic {blob[off:off + 4]!r}", offset=off)
     off += 4
-    if off + 3 > len(blob):
-        raise FormatError(f"{name}: truncated header", offset=off)
-    version, code = struct.unpack_from("<HB", blob, off)
+    version, code = _unpack("<HB", blob, off, name, "header")
     if version != VERSION:
         raise FormatError(f"{name}: unsupported version {version}", offset=off)
     off += 2
@@ -84,13 +96,9 @@ def _parse_tensor_block(blob: bytes, base: int, name: str) -> tuple[np.ndarray, 
         raise FormatError(f"{name}: unknown dtype code {code}", offset=off)
     dtype = _DTYPE_CODES[code]
     off += 1
-    if off + 4 > len(blob):
-        raise FormatError(f"{name}: truncated rank field", offset=off)
-    (rank,) = struct.unpack_from("<I", blob, off)
+    (rank,) = _unpack("<I", blob, off, name, "rank field")
     off += 4
-    if off + 4 * rank > len(blob):
-        raise FormatError(f"{name}: truncated dims", offset=off)
-    dims = struct.unpack_from(f"<{rank}I", blob, off)
+    dims = _unpack(f"<{rank}I", blob, off, name, "dims")
     off += 4 * rank
     count = int(np.prod(dims, dtype=np.int64)) if rank else 1
     nbytes = count * dtype.itemsize
@@ -113,23 +121,18 @@ CONTAINER_MAGIC = b"MVGC"
 def write_tensor_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     """Versioned container: JSON metadata plus named tensor blocks."""
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    parts = [
+        CONTAINER_MAGIC,
+        struct.pack("<H", VERSION),
+        struct.pack("<I", len(meta_bytes)),
+        meta_bytes,
+        struct.pack("<I", len(tensors)),
+    ]
+    for name, arr in tensors.items():
+        encoded = name.encode()
+        parts += [struct.pack("<H", len(encoded)), encoded, *_tensor_block(arr)]
     with open(path, "wb") as f:
-        f.write(CONTAINER_MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            encoded = name.encode()
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            arr = np.ascontiguousarray(arr)
-            code = _CODE_FOR_DTYPE[arr.dtype]
-            f.write(MAGIC)
-            f.write(struct.pack("<HB", VERSION, code))
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+        f.writelines(parts)
 
 
 def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -138,21 +141,29 @@ def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     name = str(path)
     if blob[:4] != CONTAINER_MAGIC:
         raise FormatError(f"{name}: bad container magic {blob[:4]!r}", offset=0)
-    (version,) = struct.unpack_from("<H", blob, 4)
+    (version,) = _unpack("<H", blob, 4, name, "container version")
     if version != VERSION:
         raise FormatError(f"{name}: unsupported container version {version}", offset=4)
-    (meta_len,) = struct.unpack_from("<I", blob, 6)
-    off = 10
-    meta = json.loads(blob[off : off + meta_len].decode())
-    off += meta_len
-    (count,) = struct.unpack_from("<I", blob, off)
+    (meta_len,) = _unpack("<I", blob, 6, name, "metadata length")
+    (raw_meta,) = _unpack(f"<{meta_len}s", blob, 10, name, "metadata")
+    try:
+        meta = json.loads(raw_meta)
+    except ValueError:  # bad UTF-8 or bad JSON
+        raise FormatError(f"{name}: metadata is not valid JSON", offset=10) from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{name}: metadata is not a JSON object", offset=10)
+    off = 10 + meta_len
+    (count,) = _unpack("<I", blob, off, name, "tensor count")
     off += 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        tensor_name = blob[off : off + name_len].decode()
-        off += name_len
+        (name_len,) = _unpack("<H", blob, off, name, "tensor name length")
+        (raw_name,) = _unpack(f"<{name_len}s", blob, off + 2, name, "tensor name")
+        try:
+            tensor_name = raw_name.decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{name}: tensor name is not UTF-8", offset=off + 2) from None
+        off += 2 + name_len
         arr, off = _parse_tensor_block(blob, off, f"{name}:{tensor_name}")
         tensors[tensor_name] = arr
     return meta, tensors

@@ -28,24 +28,22 @@ from .tensor import (
     softmax_rows,
 )
 
-FUSION_MODES = ("cross_attention", "mean", "linear")
-
-
-@dataclass
-class FrameTokens:
-    """One frame's modality tokens: [N_p, D_rgb] patches plus a [D_sk] token."""
-
-    rgb_patches: Tensor
-    skeleton_token: Tensor
+# fusion mode -> the FusionParams weights it reads
+_MODE_WEIGHTS = {
+    "cross_attention": ("w_query", "w_key", "w_value"),
+    "mean": ("w_skeleton", "w_value"),
+    "linear": ("w_linear",),
+}
+FUSION_MODES = tuple(_MODE_WEIGHTS)
 
 
 @dataclass
 class FusionParams:
-    """Trainable fusion weights; the active subset depends on fusion_mode."""
+    """Trainable fusion weights; ``fusion_mode`` decides which must be set."""
 
-    w_query: Tensor  # [D_sk, d_k]
-    w_key: Tensor  # [D_rgb, d_k]
-    w_value: Tensor  # [D_rgb, D]
+    w_query: Tensor | None = None  # [D_sk, d_k], cross_attention mode
+    w_key: Tensor | None = None  # [D_rgb, d_k], cross_attention mode
+    w_value: Tensor | None = None  # [D_rgb, D], cross_attention and mean modes
     fusion_mode: str = "cross_attention"
     w_skeleton: Tensor | None = None  # [D_sk, D], mean mode
     w_linear: Tensor | None = None  # [D_sk + D_rgb, D], linear mode
@@ -55,14 +53,9 @@ class FusionParams:
             raise ConfigurationError(
                 f"unknown fusion mode {self.fusion_mode!r}; expected one of {FUSION_MODES}"
             )
-
-    def tensors(self) -> list[Tensor]:
-        out = [self.w_query, self.w_key, self.w_value]
-        if self.w_skeleton is not None:
-            out.append(self.w_skeleton)
-        if self.w_linear is not None:
-            out.append(self.w_linear)
-        return out
+        missing = [n for n in _MODE_WEIGHTS[self.fusion_mode] if getattr(self, n) is None]
+        if missing:
+            raise ConfigurationError(f"{self.fusion_mode} fusion requires {missing}")
 
 
 def sample_segments(length: int, num_segments: int, rng: Xoshiro256pp) -> list[int]:
@@ -79,22 +72,6 @@ def sample_segments(length: int, num_segments: int, rng: Xoshiro256pp) -> list[i
         hi = ((i + 1) * length) // num_segments
         indices.append(lo + rng.below(hi - lo))
     return indices
-
-
-def align_tokens(sk_tokens, rgb_frames) -> list[FrameTokens]:
-    """Pair RGB frame i with skeleton token i*(T_sk/T); ratio must be integral."""
-    sk = sk_tokens.data if isinstance(sk_tokens, Tensor) else np.asarray(sk_tokens)
-    rgb = rgb_frames.data if isinstance(rgb_frames, Tensor) else np.asarray(rgb_frames)
-    t_sk, t_rgb = sk.shape[0], rgb.shape[0]
-    if t_rgb < 1 or t_sk % t_rgb != 0:
-        raise ConfigurationError(
-            f"skeleton count {t_sk} is not an integer multiple of RGB count {t_rgb}"
-        )
-    ratio = t_sk // t_rgb
-    return [
-        FrameTokens(rgb_patches=Tensor(rgb[i]), skeleton_token=Tensor(sk[i * ratio]))
-        for i in range(t_rgb)
-    ]
 
 
 def skeleton_alignment_indices(t_sk: int, t_rgb: int) -> np.ndarray:
@@ -142,34 +119,8 @@ def fuse_frames(sk_tokens: Tensor, patches: Tensor, params: FusionParams) -> Ten
         return cross_attention_pool(query, keys, values)
     mean_patch = mean_axis(patches, axis=1)  # [F, D_rgb]
     if mode == "mean":
-        if params.w_skeleton is None:
-            raise ConfigurationError("mean fusion requires w_skeleton")
         projected_sk = matmul(sk_tokens, params.w_skeleton)
         projected_patch = matmul(mean_patch, params.w_value)
         return mul(add(projected_sk, projected_patch), 0.5)
-    if params.w_linear is None:
-        raise ConfigurationError("linear fusion requires w_linear")
     return matmul(concat([sk_tokens, mean_patch], axis=1), params.w_linear)
 
-
-def cross_attention_fuse(frame: FrameTokens, params: FusionParams) -> Tensor:
-    """Single-frame fusion under the attention mode; returns a [D] token."""
-    if params.fusion_mode != "cross_attention":
-        raise ConfigurationError("cross_attention_fuse requires cross_attention mode")
-    sk = reshape(frame.skeleton_token, (1, frame.skeleton_token.shape[0]))
-    patches = reshape(frame.rgb_patches, (1,) + frame.rgb_patches.shape)
-    fused = fuse_frames(sk, patches, params)
-    return reshape(fused, (fused.shape[1],))
-
-
-def fuse_sequence(frames: list[FrameTokens], params: FusionParams) -> Tensor:
-    """Fuse every frame of a sample and stack in time order: [T, D]."""
-    if not frames:
-        raise InputError("fuse_sequence requires at least one frame")
-    sk = concat(
-        [reshape(f.skeleton_token, (1, -1)) for f in frames], axis=0
-    )
-    patches = concat(
-        [reshape(f.rgb_patches, (1,) + f.rgb_patches.shape) for f in frames], axis=0
-    )
-    return fuse_frames(sk, patches, params)

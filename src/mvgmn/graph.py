@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .tensor import Tensor, matmul, relu
+from .scan import project
+from .tensor import Tensor, bmm, relu
 
 Edge = tuple[int, int]
 
@@ -101,19 +102,6 @@ def normalized_operator(a_tilde: np.ndarray, d_tilde: np.ndarray) -> np.ndarray:
     return a_tilde * np.outer(inv_sqrt, inv_sqrt)
 
 
-def incidence_matrix(edges: set[Edge] | list[Edge], n: int) -> np.ndarray:
-    """Vertex-by-edge membership matrix for the undirected edge list.
-
-    Consistent with the adjacency: H @ H.T equals A plus the degree diagonal.
-    """
-    unique = sorted({(min(i, j), max(i, j)) for i, j in edges})
-    h = np.zeros((n, len(unique)))
-    for col, (i, j) in enumerate(unique):
-        h[i, col] = 1.0
-        h[j, col] = 1.0
-    return h
-
-
 @dataclass
 class ViewTemporalGraph:
     """Edge sets and assembled adjacency for one grid's vertices."""
@@ -125,10 +113,6 @@ class ViewTemporalGraph:
     a_tilde: np.ndarray
     d_tilde: np.ndarray
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self.a_tilde - np.eye(self.n_vertices)
-
 
 def build_graph(views: int, time_steps: int, features, k: int) -> ViewTemporalGraph:
     """Construct rule plus KNN edges from current vertex features."""
@@ -139,24 +123,10 @@ def build_graph(views: int, time_steps: int, features, k: int) -> ViewTemporalGr
     return ViewTemporalGraph(n, time_e, view_e, knn, a_tilde, d_tilde)
 
 
-@dataclass
-class GcnLayerParams:
-    """One graph-convolution layer; the activation is fixed to ReLU."""
+def gcn_propagate(x: Tensor, norm: Tensor, weight: Tensor) -> Tensor:
+    """One graph-convolution layer, relu(N X W), batched over graphs.
 
-    weight: Tensor  # [D_in, D_out]
-
-    def tensors(self) -> list[Tensor]:
-        return [self.weight]
-
-
-def gcn_propagate(
-    x: Tensor, a_tilde: np.ndarray, d_tilde: np.ndarray, params: GcnLayerParams
-) -> Tensor:
-    """relu(D^-1/2 A~ D^-1/2 X W) for a single graph."""
-    if x.shape[0] != a_tilde.shape[0] or x.shape[1] != params.weight.shape[0]:
-        raise ConfigurationError(
-            f"gcn shapes do not compose: X {x.shape}, adjacency {a_tilde.shape}, "
-            f"W {params.weight.shape}"
-        )
-    norm = Tensor(normalized_operator(a_tilde, d_tilde).astype(x.data.dtype))
-    return relu(matmul(matmul(norm, x), params.weight))
+    ``x`` is [B, n, D_in], ``norm`` holds each graph's [n, n] operator from
+    ``normalized_operator`` as [B, n, n], and ``weight`` is [D_in, D_out].
+    """
+    return relu(project(bmm(norm, x), weight))

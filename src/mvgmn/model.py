@@ -27,7 +27,7 @@ import numpy as np
 from . import graph as graph_mod
 from . import scan as scan_mod
 from .data import SyntheticSpec, read_tensor_container, write_tensor_container
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, FormatError, InputError
 from .fusion import (
     FUSION_MODES,
     FusionParams,
@@ -44,7 +44,6 @@ from .tensor import (
     matmul,
     mean_axis,
     mul,
-    relu,
     reshape,
     softmax_rows,
     swap_last,
@@ -158,38 +157,14 @@ def config_for_dataset(spec: SyntheticSpec, **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-@dataclass(frozen=True)
-class AggregatorPlan:
-    """What each scheduled unit contains for a given aggregator."""
-
-    name: str
-    mixer: str  # "linear" | "attention" | "scan"
-    edge_kind: str | None  # None | "rule" | "rule_knn"
-
-
-def build_aggregator(config: ModelConfig) -> AggregatorPlan:
-    """Resolve an aggregator name to its per-unit layout."""
-    if config.aggregator not in _UNIT_LAYOUT:
-        raise ConfigurationError(
-            f"unknown aggregator {config.aggregator!r}; expected one of {AGGREGATORS}"
-        )
-    mixer, edge_kind = _UNIT_LAYOUT[config.aggregator]
-    return AggregatorPlan(name=config.aggregator, mixer=mixer, edge_kind=edge_kind)
-
-
 def block_schedule(n_blocks: int, scan_mode: str) -> list[str]:
     """Ordered scan direction per unit.
 
     Two blocks pair one forward view-ordered unit with one forward
     time-ordered unit; larger counts repeat the mode's full direction cycle.
+    ``ModelConfig`` validates both arguments.
     """
-    if n_blocks not in _VALID_BLOCK_COUNTS:
-        raise ConfigurationError(
-            f"n_blocks must be one of {_VALID_BLOCK_COUNTS}, got {n_blocks}"
-        )
-    directions = SCAN_MODES[scan_mode] if scan_mode in SCAN_MODES else None
-    if directions is None:
-        raise ConfigurationError(f"unknown scan_mode {scan_mode!r}")
+    directions = SCAN_MODES[scan_mode]
     if scan_mode == "view_time":
         if n_blocks == 2:
             return ["view_forward", "time_forward"]
@@ -213,9 +188,6 @@ class ModelState:
     def __post_init__(self):
         if not self.schedule:
             self.schedule = block_schedule(self.config.n_blocks, self.config.scan_mode)
-
-    def tensors(self) -> list[Tensor]:
-        return list(self.params.values())
 
     @property
     def dtype(self):
@@ -298,19 +270,19 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelSta
             "fusion.w_linear", (cfg.sk_dim + cfg.rgb_dim, d), cfg.sk_dim + cfg.rgb_dim, d
         )
 
-    plan = build_aggregator(cfg)
+    mixer, edge_kind = _UNIT_LAYOUT[cfg.aggregator]
     schedule = block_schedule(cfg.n_blocks, cfg.scan_mode)
     for u in range(len(schedule)):
         prefix = f"unit{u:02d}"
-        if plan.mixer == "scan":
+        if mixer == "scan":
             _init_scan_unit(ini, f"{prefix}.scan", cfg)
-        elif plan.mixer == "attention":
+        elif mixer == "attention":
             for name in ("w_query", "w_key", "w_value", "w_out"):
                 ini.dense(f"{prefix}.attn.{name}", (d, d), d, d)
         else:
             ini.dense(f"{prefix}.mix.weight", (d, d), d, d)
             ini.zeros(f"{prefix}.mix.bias", (d,))
-        if plan.edge_kind is not None:
+        if edge_kind is not None:
             for layer in range(cfg.gcn_layers_per_block):
                 ini.dense(f"{prefix}.gcn.l{layer}.weight", (d, d), d, d)
 
@@ -326,30 +298,13 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelSta
 
 def fusion_params(state: ModelState) -> FusionParams:
     p = state.params
-    mode = state.config.fusion_mode
-    if mode == "cross_attention":
-        return FusionParams(
-            w_query=p["fusion.w_query"],
-            w_key=p["fusion.w_key"],
-            w_value=p["fusion.w_value"],
-            fusion_mode=mode,
-        )
-    if mode == "mean":
-        dummy = p["fusion.w_value"]
-        return FusionParams(
-            w_query=dummy,
-            w_key=dummy,
-            w_value=p["fusion.w_value"],
-            fusion_mode=mode,
-            w_skeleton=p["fusion.w_skeleton"],
-        )
-    dummy = p["fusion.w_linear"]
     return FusionParams(
-        w_query=dummy,
-        w_key=dummy,
-        w_value=dummy,
-        fusion_mode=mode,
-        w_linear=p["fusion.w_linear"],
+        w_query=p.get("fusion.w_query"),
+        w_key=p.get("fusion.w_key"),
+        w_value=p.get("fusion.w_value"),
+        fusion_mode=state.config.fusion_mode,
+        w_skeleton=p.get("fusion.w_skeleton"),
+        w_linear=p.get("fusion.w_linear"),
     )
 
 
@@ -476,7 +431,7 @@ def _graph_stage(
     norm_t = Tensor(norm)
     for layer in range(cfg.gcn_layers_per_block):
         w = state.params[f"unit{unit:02d}.gcn.l{layer}.weight"]
-        x = relu(scan_mod.project(bmm(norm_t, x), w))
+        x = graph_mod.gcn_propagate(x, norm_t, w)
     return x
 
 
@@ -488,18 +443,18 @@ def _apply_unit(
     graph_sink: dict | None = None,
 ) -> Tensor:
     cfg = state.config
-    plan = build_aggregator(cfg)
-    if plan.mixer == "scan":
+    mixer, edge_kind = _UNIT_LAYOUT[cfg.aggregator]
+    if mixer == "scan":
         x = scan_mod.apply_direction(
             x, direction, _direction_params(state, unit), cfg.views, cfg.time_steps
         )
-    elif plan.mixer == "attention":
+    elif mixer == "attention":
         x = _self_attention(state, unit, x)
     else:
         p = state.params
         x = scan_mod.project(x, p[f"unit{unit:02d}.mix.weight"], p[f"unit{unit:02d}.mix.bias"])
-    if plan.edge_kind is not None:
-        x = _graph_stage(state, unit, x, plan.edge_kind, graph_sink)
+    if edge_kind is not None:
+        x = _graph_stage(state, unit, x, edge_kind, graph_sink)
     return x
 
 
@@ -518,13 +473,6 @@ def forward_grid_batch(
     pooled = concat([mean_axis(x, axis=1), mean_axis(grid, axis=1)], axis=1)
     pooled = mul(pooled, cfg.head_gain)
     return add(matmul(pooled, state.params["head.weight"]), state.params["head.bias"])
-
-
-def forward_grid(state: ModelState, grid: scan_mod.FeatureGrid) -> Tensor:
-    """Single-sample aggregator forward; returns [n_classes] logits."""
-    v, t, d = grid.values.shape
-    batched = forward_grid_batch(state, reshape(grid.values, (1, v * t, d)))
-    return reshape(batched, (state.config.n_classes,))
 
 
 def forward_batch(
@@ -547,7 +495,7 @@ def inspect_graph(
         raise InputError(
             f"block index {block_index} outside schedule of {len(state.schedule)} units"
         )
-    if build_aggregator(state.config).edge_kind is None:
+    if _UNIT_LAYOUT[state.config.aggregator][1] is None:
         raise InputError(
             f"aggregator {state.config.aggregator!r} has no graph stage to inspect"
         )
@@ -570,6 +518,17 @@ def load_checkpoint(path) -> ModelState:
     meta, tensors = read_tensor_container(path)
     if meta.get("kind") != "mvgmn-checkpoint":
         raise InputError(f"{path} is not a model checkpoint")
-    config = ModelConfig(**meta["config"])
+    try:
+        config = ModelConfig(**meta.get("config"))
+    except TypeError as err:  # absent config, or unknown, missing or mistyped fields
+        raise FormatError(f"{path}: bad checkpoint config: {err}") from None
+    want = {k: t.shape for k, t in init_state(config).params.items()}
+    have = {k: v.shape for k, v in tensors.items()}
+    if have != want:
+        names = sorted(want.keys() | have.keys())
+        diff = {k: (want.get(k), have.get(k)) for k in names if want.get(k) != have.get(k)}
+        raise FormatError(
+            f"{path}: tensors differ from the config's layout (expected, found): {diff}"
+        )
     params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()}
     return ModelState(config=config, params=params)

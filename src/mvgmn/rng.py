@@ -86,10 +86,6 @@ class Xoshiro256pp:
         self._s = [s0, s1, s2, s3]
         return out
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1): top 53 bits of one u64."""
-        return (self.u64() >> 11) * 2.0**-53
-
     def uniforms(self, n: int) -> np.ndarray:
         words = np.array(self.u64s(n), dtype=np.uint64)
         return ((words >> np.uint64(11)).astype(np.float64)) * 2.0**-53
@@ -111,9 +107,6 @@ class Xoshiro256pp:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:n]
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via unbiased rejection sampling."""

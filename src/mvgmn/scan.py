@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, InputError
 from .tensor import (
     Tensor,
+    _tracking,
     add,
     conv1d_depthwise,
     conv1d_same,
@@ -37,15 +38,6 @@ SCAN_MODES = {
     "time_prioritized": ("time_forward", "time_backward"),
     "view_time": ("view_forward", "view_backward", "time_forward", "time_backward"),
 }
-
-
-def scan_directions(mode: str) -> tuple[str, ...]:
-    try:
-        return SCAN_MODES[mode]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scan mode {mode!r}; expected one of {sorted(SCAN_MODES)}"
-        ) from None
 
 
 @lru_cache(maxsize=None)
@@ -74,49 +66,6 @@ def scan_permutation(order: str, views: int, time_steps: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def inverse_permutation(order: str, views: int, time_steps: int) -> np.ndarray:
     return np.argsort(scan_permutation(order, views, time_steps), kind="stable")
-
-
-@dataclass
-class FeatureGrid:
-    """Fused tokens arranged as [views, time_steps, width]."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if self.values.data.ndim != 3:
-            raise DimensionError(
-                f"FeatureGrid expects [V, T, D] values, got {self.values.shape}"
-            )
-
-    @property
-    def views(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def time_steps(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-
-def flatten_grid(grid: FeatureGrid, order: str) -> Tensor:
-    """Flatten a grid into a [V*T, D] sequence in the given scan order."""
-    v, t, d = grid.values.shape
-    canonical = reshape(grid.values, (v * t, d))
-    return take_rows(canonical, scan_permutation(order, v, t))
-
-
-def restore_grid(seq: Tensor, order: str, views: int, time_steps: int) -> FeatureGrid:
-    """Invert flatten_grid: restore a scanned sequence to canonical layout."""
-    n = views * time_steps
-    if seq.data.ndim != 2 or seq.shape[0] != n:
-        raise DimensionError(
-            f"expected a [{n}, D] sequence for a {views}x{time_steps} grid, got {seq.shape}"
-        )
-    canonical = take_rows(seq, inverse_permutation(order, views, time_steps))
-    return FeatureGrid(reshape(canonical, (views, time_steps, seq.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +114,8 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
     h = decay * h + drive starting from h = 0, and readout
     y_t = <x_t . c_proj, h_t> per channel plus skip_gain * x_t.
 
-    Accepts [L, D] or [B, L, D]; recording mode stores the state history for
-    the hand-derived backward pass.
+    Accepts [L, D] or [B, L, D]. Only when a tape records the op does it
+    store the [B, L, D, N] state history that the hand-derived backward reads.
     """
     squeeze = x.data.ndim == 2
     xb = x.data[np.newaxis] if squeeze else x.data
@@ -190,7 +139,7 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
     c_seq = xb @ ssm.c_proj.data  # [B, L, N]
     skip = ssm.skip_gain.data
 
-    record = any(t.requires for t in [x, *ssm.tensors()])
+    record = _tracking(x, *ssm.tensors())
     hist = np.empty((batch, length, d, n), dtype=xb.dtype) if record else None
 
     # time-major contiguous copies and one reused work buffer: the step loop
@@ -368,9 +317,6 @@ class DirectionParams:
     conv_bias: Tensor  # [D]
     mamba: MambaLayerParams
 
-    def tensors(self) -> list[Tensor]:
-        return [self.conv_kernel, self.conv_bias, *self.mamba.tensors()]
-
 
 def apply_direction(
     canonical: Tensor, order: str, params: DirectionParams, views: int, time_steps: int
@@ -381,13 +327,3 @@ def apply_direction(
     seq = mamba_layer(seq, params.mamba)
     return take_rows(seq, inverse_permutation(order, views, time_steps))
 
-
-def bidirectional_block(
-    grid: FeatureGrid, mode: str, layers: dict[str, DirectionParams]
-) -> FeatureGrid:
-    """Apply the mode's scan directions sequentially to a grid."""
-    v, t, d = grid.values.shape
-    x = reshape(grid.values, (v * t, d))
-    for order in scan_directions(mode):
-        x = apply_direction(x, order, layers[order], v, t)
-    return FeatureGrid(reshape(x, (v, t, d)))

@@ -74,29 +74,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
 
-    # Convenience arithmetic; the named functions below do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 _active_tape: "GradTape | None" = None
 
@@ -231,14 +208,6 @@ def add(a, b) -> Tensor:
 
         _record(out, bwd)
     return out
-
-
-def sub(a, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return add(a, -b)
-    if isinstance(a, (int, float)):
-        return add(mul(b, -1.0), a)
-    return add(a, mul(b, -1.0))
 
 
 def mul(a, b) -> Tensor:
@@ -399,34 +368,10 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    out = _make(np.exp(a.data))
-    if _tracking(a):
-
-        def bwd():
-            if out.grad is not None:
-                _accum(a, out.grad * out.data)
-
-        _record(out, bwd)
-    return out
-
-
 def sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow for large |x| (plain ndarray math)."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = _make(np.logaddexp(0.0, a.data).astype(a.data.dtype))
-    if _tracking(a):
-
-        def bwd():
-            if out.grad is not None:
-                _accum(a, out.grad * sigmoid_stable(a.data))
-
-        _record(out, bwd)
-    return out
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -436,22 +381,6 @@ def sum_all(a: Tensor) -> Tensor:
         def bwd():
             if out.grad is not None:
                 _accum(a, np.broadcast_to(out.grad, a.data.shape).copy())
-
-        _record(out, bwd)
-    return out
-
-
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims))
-    if _tracking(a):
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
         _record(out, bwd)
     return out

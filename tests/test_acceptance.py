@@ -62,7 +62,7 @@ def test_criterion_1_end_to_end_gradient_integrity():
         logits = M.forward_batch(state, rgb, sk)
         return T.softmax_cross_entropy(logits, labels)
 
-    err = check_gradients(loss, state.tensors(), h=1e-5)
+    err = check_gradients(loss, list(state.params.values()), h=1e-5)
     elapsed = time.monotonic() - started
     _report(
         "criterion 1 (gradient integrity)",
@@ -173,16 +173,14 @@ def test_criterion_4_permutation_algebra():
     for v in range(1, 9):
         for t in range(1, 9):
             rng = np.random.default_rng(v * 100 + t)
-            grid = S.FeatureGrid(Tensor(rng.standard_normal((v, t, 3))))
+            rows = Tensor(rng.standard_normal((v, t, 3)).reshape(v * t, 3))  # canonical
+            seq = {}
             for order in S.SCAN_ORDERS:
-                seq = S.flatten_grid(grid, order)
-                back = S.restore_grid(seq, order, v, t)
-                ok &= np.array_equal(back.values.data, grid.values.data)
-            vf = S.flatten_grid(grid, "view_forward").data
-            vb = S.flatten_grid(grid, "view_backward").data
-            tf = S.flatten_grid(grid, "time_forward").data
-            tb = S.flatten_grid(grid, "time_backward").data
-            ok &= np.array_equal(vb, vf[::-1]) and np.array_equal(tb, tf[::-1])
+                seq[order] = T.take_rows(rows, S.scan_permutation(order, v, t)).data
+                back = T.take_rows(Tensor(seq[order]), S.inverse_permutation(order, v, t))
+                ok &= np.array_equal(back.data, rows.data)
+            ok &= np.array_equal(seq["view_backward"], seq["view_forward"][::-1])
+            ok &= np.array_equal(seq["time_backward"], seq["time_forward"][::-1])
     elapsed = time.monotonic() - started
     _report(
         "criterion 4 (permutation algebra)",

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mvgmn import model as model_mod
 from mvgmn.cli import main
 
 
@@ -173,6 +174,20 @@ def test_corrupt_checkpoint_is_validation_error(dataset_dir, tmp_path, capsys):
         "eval", "--checkpoint", str(bad), "--data", str(dataset_dir / "manifest.json"),
     ])
     assert code == 1
+
+
+def test_truncated_checkpoint_is_validation_error(dataset_dir, tmp_path, capsys):
+    cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
+                                sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
+    path = tmp_path / "cut.mvgc"
+    model_mod.save_checkpoint(path, model_mod.init_state(cfg))
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(dataset_dir / "manifest.json")])
+        assert code == 1, f"prefix of {cut} bytes exited {code}"
+    assert capsys.readouterr().err.count("error: ") == len(blob)
 
 
 def test_unwritable_out_is_runtime_error(tmp_path, capsys):

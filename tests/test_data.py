@@ -97,6 +97,23 @@ def test_container_round_trip(tmp_path):
         assert back[k].dtype == tensors[k].dtype
 
 
+def test_container_rejects_unsupported_dtype(tmp_path):
+    with pytest.raises(InputError, match="float16"):
+        D.write_tensor_container(tmp_path / "c.mvgc", {}, {"h": np.ones(2, np.float16)})
+
+
+def test_truncated_container_reports_offset(tmp_path):
+    path = tmp_path / "c.mvgc"
+    tensors = {"a.w": np.ones((2, 3), dtype=np.float32), "b": np.zeros(2)}
+    D.write_tensor_container(path, {"kind": "test"}, tensors)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError) as err:
+            D.read_tensor_container(path)
+        assert 0 <= err.value.offset <= cut
+
+
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ def make_params(d_sk, d_rgb, d_k, d, mode="cross_attention", seed=0, requires=Fa
 
 
 def make_frame(d_sk, d_rgb, n_p, seed=0):
+    """One frame as fuse_frames takes it: sk [1, D_sk], patches [1, N_p, D_rgb]."""
     rng = np.random.default_rng(seed)
-    return F.FrameTokens(
-        rgb_patches=Tensor(rng.standard_normal((n_p, d_rgb))),
-        skeleton_token=Tensor(rng.standard_normal(d_sk)),
-    )
+    patches = Tensor(rng.standard_normal((1, n_p, d_rgb)))
+    return Tensor(rng.standard_normal((1, d_sk))), patches
 
 
 # ---------------------------------------------------------------------------
@@ -62,23 +61,21 @@ def test_sample_segments_rejects_short_input():
 
 def test_align_tokens_stride_two():
     sk = np.arange(16)[:, None] * np.ones((16, 3))
-    rgb = np.zeros((8, 2, 4))
-    frames = F.align_tokens(sk, rgb)
-    got = [int(f.skeleton_token.data[0]) for f in frames]
+    idx = F.skeleton_alignment_indices(16, 8)
+    got = [int(token[0]) for token in sk[idx]]
     assert got == [0, 2, 4, 6, 8, 10, 12, 14]
-    np.testing.assert_array_equal(
-        F.skeleton_alignment_indices(16, 8), [0, 2, 4, 6, 8, 10, 12, 14]
-    )
+    np.testing.assert_array_equal(idx, [0, 2, 4, 6, 8, 10, 12, 14])
 
 
 def test_align_tokens_identity_when_equal():
-    frames = F.align_tokens(np.arange(8)[:, None], np.zeros((8, 1, 2)))
-    assert [int(f.skeleton_token.data[0]) for f in frames] == list(range(8))
+    sk = np.arange(8)[:, None]
+    idx = F.skeleton_alignment_indices(8, 8)
+    assert [int(token[0]) for token in sk[idx]] == list(range(8))
 
 
 def test_align_tokens_non_integer_ratio():
     with pytest.raises(ConfigurationError):
-        F.align_tokens(np.zeros((15, 2)), np.zeros((8, 1, 2)))
+        F.skeleton_alignment_indices(15, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +85,21 @@ def test_align_tokens_non_integer_ratio():
 
 def test_zero_skeleton_token_gives_mean_of_values():
     params = make_params(3, 4, 2, 5, seed=1)
-    frame = make_frame(3, 4, 6, seed=2)
-    frame.skeleton_token.data[:] = 0.0
-    out = F.cross_attention_fuse(frame, params)
-    values = frame.rgb_patches.data @ params.w_value.data
-    np.testing.assert_allclose(out.data, values.mean(axis=0), atol=1e-12)
+    sk, patches = make_frame(3, 4, 6, seed=2)
+    sk.data[:] = 0.0
+    out = F.fuse_frames(sk, patches, params)
+    values = patches.data[0] @ params.w_value.data
+    np.testing.assert_allclose(out.data[0], values.mean(axis=0), atol=1e-12)
 
 
 def test_single_patch_ignores_query():
     params = make_params(3, 4, 2, 5, seed=3)
-    frame = make_frame(3, 4, 1, seed=4)
-    out1 = F.cross_attention_fuse(frame, params)
-    frame.skeleton_token.data *= 37.0  # scaling the query cannot matter
-    out2 = F.cross_attention_fuse(frame, params)
-    expect = frame.rgb_patches.data[0] @ params.w_value.data
-    np.testing.assert_allclose(out1.data, expect, atol=1e-12)
+    sk, patches = make_frame(3, 4, 1, seed=4)
+    out1 = F.fuse_frames(sk, patches, params)
+    sk.data *= 37.0  # scaling the query cannot matter
+    out2 = F.fuse_frames(sk, patches, params)
+    expect = patches.data[0, 0] @ params.w_value.data
+    np.testing.assert_allclose(out1.data[0], expect, atol=1e-12)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
 
@@ -119,22 +116,18 @@ def test_scalar_attention_hand_oracle():
 
 def test_attention_invariant_to_patch_permutation():
     params = make_params(3, 4, 2, 5, seed=5)
-    frame = make_frame(3, 4, 7, seed=6)
-    out = F.cross_attention_fuse(frame, params)
+    sk, patches = make_frame(3, 4, 7, seed=6)
+    out = F.fuse_frames(sk, patches, params)
     perm = np.random.default_rng(7).permutation(7)
-    shuffled = F.FrameTokens(
-        rgb_patches=Tensor(frame.rgb_patches.data[perm]),
-        skeleton_token=frame.skeleton_token,
-    )
-    out_p = F.cross_attention_fuse(shuffled, params)
+    out_p = F.fuse_frames(sk, Tensor(patches.data[:, perm]), params)
     np.testing.assert_allclose(out.data, out_p.data, atol=1e-12)
 
 
 def test_attention_weights_sum_to_one():
     params = make_params(3, 4, 2, 5, seed=8)
-    frame = make_frame(3, 4, 5, seed=9)
-    q = frame.skeleton_token.data @ params.w_query.data
-    k = frame.rgb_patches.data @ params.w_key.data
+    sk, patches = make_frame(3, 4, 5, seed=9)
+    q = sk.data[0] @ params.w_query.data
+    k = patches.data[0] @ params.w_key.data
     scores = (k @ q) / np.sqrt(2.0)
     w = T.softmax_rows(Tensor(scores[None, :])).data
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
@@ -147,12 +140,17 @@ def test_attention_weights_sum_to_one():
 
 
 def test_fuse_sequence_single_frame_matches_single_fusion():
+    # frames fuse independently: each row of a batch equals that frame alone
     params = make_params(3, 4, 2, 5, seed=10)
-    frame = make_frame(3, 4, 6, seed=11)
-    seq = F.fuse_sequence([frame], params)
-    single = F.cross_attention_fuse(frame, params)
-    assert seq.shape == (1, 5)
-    np.testing.assert_allclose(seq.data[0], single.data, atol=1e-12)
+    frames = [make_frame(3, 4, 6, seed=11 + i) for i in range(3)]
+    sk = Tensor(np.concatenate([f[0].data for f in frames]))
+    patches = Tensor(np.concatenate([f[1].data for f in frames]))
+    seq = F.fuse_frames(sk, patches, params)
+    assert seq.shape == (3, 5)
+    for i, frame in enumerate(frames):
+        single = F.fuse_frames(*frame, params)
+        assert single.shape == (1, 5)
+        np.testing.assert_allclose(seq.data[i], single.data[0], atol=1e-12)
 
 
 def test_mean_mode_with_identical_projections():
@@ -161,27 +159,21 @@ def test_mean_mode_with_identical_projections():
     params.w_skeleton.data[:] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     params.w_value.data[:] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     token = np.array([0.3, -0.7])
-    frame = F.FrameTokens(
-        rgb_patches=Tensor(np.stack([token, token])), skeleton_token=Tensor(token)
-    )
-    out = F.fuse_sequence([frame], params)
+    out = F.fuse_frames(Tensor(token[None]), Tensor(np.stack([token, token])[None]), params)
     np.testing.assert_allclose(out.data[0], [0.3, -0.7, 0.0], atol=1e-12)
 
 
 def test_three_fusion_modes_are_distinct():
     frames = [make_frame(3, 4, 5, seed=s) for s in range(2)]
+    sk = Tensor(np.concatenate([f[0].data for f in frames]))
+    patches = Tensor(np.concatenate([f[1].data for f in frames]))
     outs = {}
     for mode in F.FUSION_MODES:
         params = make_params(3, 4, 2, 5, mode=mode, seed=13)
-        outs[mode] = F.fuse_sequence(frames, params).data
+        outs[mode] = F.fuse_frames(sk, patches, params).data
     assert not np.allclose(outs["cross_attention"], outs["mean"])
     assert not np.allclose(outs["cross_attention"], outs["linear"])
     assert not np.allclose(outs["mean"], outs["linear"])
-
-
-def test_fuse_sequence_rejects_empty():
-    with pytest.raises(InputError):
-        F.fuse_sequence([], make_params(2, 2, 2, 2))
 
 
 def test_fuse_frames_rejects_zero_patches():
@@ -195,6 +187,9 @@ def test_fuse_frames_rejects_zero_patches():
 def test_unknown_fusion_mode_rejected():
     with pytest.raises(ConfigurationError):
         make_params(2, 2, 2, 2, mode="max")
+    # a known mode without the weights it reads is rejected the same way
+    with pytest.raises(ConfigurationError, match="w_skeleton"):
+        F.FusionParams(fusion_mode="mean", w_value=Tensor(np.ones((2, 2))))
 
 
 @pytest.mark.parametrize("mode", F.FUSION_MODES)
@@ -208,4 +203,5 @@ def test_fusion_gradients(mode):
         out = F.fuse_frames(sk, patches, params)
         return T.sum_all(T.mul(out, out))
 
-    assert check_gradients(loss, [sk, patches, *params.tensors()], h=1e-5) < 1e-4
+    weights = [w for w in vars(params).values() if isinstance(w, Tensor)]
+    assert check_gradients(loss, [sk, patches, *weights], h=1e-5) < 1e-4

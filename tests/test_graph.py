@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvgmn import graph as G
 from mvgmn import tensor as T
-from mvgmn.errors import ConfigurationError, InputError
+from mvgmn.errors import ConfigurationError, DimensionError, InputError
 from mvgmn.tensor import Tensor, check_gradients
 
 
@@ -147,17 +147,6 @@ def test_assemble_rejects_out_of_range_and_self_edges():
         G.assemble_adjacency({(1, 1)}, set(), 3)
 
 
-def test_incidence_consistent_with_adjacency():
-    edges = {(0, 1), (1, 2), (0, 3)}
-    n = 4
-    h = G.incidence_matrix(edges, n)
-    a_tilde, _ = G.assemble_adjacency(edges, set(), n)
-    a = a_tilde - np.eye(n)
-    gram = h @ h.T
-    np.testing.assert_array_equal(gram - np.diag(np.diag(gram)), a)
-    np.testing.assert_array_equal(np.diag(gram), a.sum(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -182,41 +171,43 @@ def test_rule_graph_preserves_constant_columns():
     np.testing.assert_allclose(op @ np.ones(12), np.ones(12), atol=1e-12)
 
 
+def normalized_batch(*graphs):
+    """Stack each graph's normalized operator as the [B, n, n] propagation input."""
+    ops = [G.normalized_operator(*G.assemble_adjacency(*g)) for g in graphs]
+    return Tensor(np.stack(ops))
+
+
 def test_gcn_edgeless_identity_on_nonnegative():
-    x = Tensor(np.abs(np.random.default_rng(2).standard_normal((4, 3))))
-    a_tilde, d_tilde = G.assemble_adjacency(set(), set(), 4)
-    params = G.GcnLayerParams(weight=Tensor(np.eye(3)))
-    out = G.gcn_propagate(x, a_tilde, d_tilde, params)
+    x = Tensor(np.abs(np.random.default_rng(2).standard_normal((1, 4, 3))))
+    out = G.gcn_propagate(x, normalized_batch((set(), set(), 4)), Tensor(np.eye(3)))
     np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
 
 def test_gcn_two_vertex_full_smoothing():
-    a_tilde, d_tilde = G.assemble_adjacency({(0, 1)}, set(), 2)
-    params = G.GcnLayerParams(weight=Tensor(np.eye(1)))
-    out = G.gcn_propagate(Tensor([[2.0], [0.0]]), a_tilde, d_tilde, params)
-    np.testing.assert_allclose(out.data, [[1.0], [1.0]], atol=1e-12)
+    norm = normalized_batch(({(0, 1)}, set(), 2))
+    out = G.gcn_propagate(Tensor([[[2.0], [0.0]]]), norm, Tensor(np.eye(1)))
+    np.testing.assert_allclose(out.data, [[[1.0], [1.0]]], atol=1e-12)
 
 
 def test_gcn_gradients():
     rng = np.random.default_rng(9)
-    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    a_tilde, d_tilde = G.assemble_adjacency({(0, 1), (2, 3), (1, 4)}, {(0, 2)}, 5)
-    params = G.GcnLayerParams(weight=w)
+    norm = normalized_batch(
+        ({(0, 1), (2, 3), (1, 4)}, {(0, 2)}, 5), ({(0, 4), (1, 2)}, set(), 5)
+    )
 
     def loss():
-        out = G.gcn_propagate(x, a_tilde, d_tilde, params)
+        out = G.gcn_propagate(x, norm, w)
         return T.sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, w], h=1e-5) < 1e-4
 
 
 def test_gcn_shape_mismatch():
-    a_tilde, d_tilde = G.assemble_adjacency(set(), set(), 3)
-    with pytest.raises(ConfigurationError):
-        G.gcn_propagate(
-            Tensor(np.zeros((4, 2))), a_tilde, d_tilde, G.GcnLayerParams(Tensor(np.eye(2)))
-        )
+    norm = normalized_batch((set(), set(), 3))
+    with pytest.raises(DimensionError):
+        G.gcn_propagate(Tensor(np.zeros((1, 4, 2))), norm, Tensor(np.eye(2)))
 
 
 def test_build_graph_bundles_edges():
@@ -226,4 +217,4 @@ def test_build_graph_bundles_edges():
     assert g.rule_time_edges == G.rule_edges(2, 3)[0]
     assert g.knn_edges == G.knn_edges(x, 2)
     assert g.a_tilde.shape == (6, 6)
-    np.testing.assert_array_equal(np.diag(g.adjacency), np.zeros(6))
+    np.testing.assert_array_equal(np.diag(g.a_tilde), np.ones(6))

@@ -1,10 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from mvgmn import data as D
 from mvgmn import model as M
 from mvgmn import tensor as T
-from mvgmn.errors import ConfigurationError, InputError
-from mvgmn.scan import FeatureGrid
+from mvgmn.errors import ConfigurationError, FormatError, InputError
 from mvgmn.tensor import Tensor, check_gradients
 
 
@@ -59,18 +61,19 @@ def test_block_schedule_single_axis_modes():
 
 def test_block_schedule_rejects_unsupported_counts():
     with pytest.raises(ConfigurationError):
-        M.block_schedule(3, "view_time")
+        tiny_config(n_blocks=3)
     with pytest.raises(ConfigurationError):
         tiny_config(n_blocks=6)
 
 
 def test_build_aggregator_layouts():
-    plan = M.build_aggregator(tiny_config(aggregator="mvgmn"))
-    assert (plan.mixer, plan.edge_kind) == ("scan", "rule_knn")
-    plan = M.build_aggregator(tiny_config(aggregator="gcn_rule"))
-    assert (plan.mixer, plan.edge_kind) == ("linear", "rule")
-    plan = M.build_aggregator(tiny_config(aggregator="attention"))
-    assert (plan.mixer, plan.edge_kind) == ("attention", None)
+    def unit_groups(aggregator):
+        names = M.init_state(tiny_config(aggregator=aggregator)).params
+        return {k.split(".")[1] for k in names if k.startswith("unit00.")}
+
+    assert unit_groups("mvgmn") == {"scan", "gcn"}
+    assert unit_groups("gcn_rule") == {"mix", "gcn"}
+    assert unit_groups("attention") == {"attn"}
 
 
 def test_config_validation():
@@ -106,10 +109,8 @@ def test_logits_shape_and_determinism():
 def test_forward_grid_single_sample_shape():
     cfg = tiny_config()
     state = M.init_state(cfg, seed=2)
-    grid = FeatureGrid(
-        Tensor(np.random.default_rng(0).standard_normal((2, 2, 4)).astype(np.float32))
-    )
-    assert M.forward_grid(state, grid).shape == (3,)
+    grid = Tensor(np.random.default_rng(0).standard_normal((1, 4, 4)).astype(np.float32))
+    assert M.forward_grid_batch(state, grid).shape == (1, 3)
 
 
 def test_vertex_permutation_leaves_gap_logits_unchanged():
@@ -254,6 +255,27 @@ def test_checkpoint_round_trip(tmp_path):
     )
     M.save_checkpoint(tmp_path / "again.mvgc", loaded)
     assert (tmp_path / "again.mvgc").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [("unknown_config_key", "dropout"), ("missing_tensor", "head.bias"),
+     ("wrong_shape", "head.bias")],
+)
+def test_checkpoint_must_fit_its_config(tmp_path, case, match):
+    state = M.init_state(tiny_config(), seed=14)
+    config = asdict(state.config)
+    tensors = {k: t.data for k, t in state.params.items()}
+    if case == "unknown_config_key":
+        config["dropout"] = 0.1
+    elif case == "missing_tensor":
+        del tensors["head.bias"]
+    else:
+        tensors["head.bias"] = np.zeros(4, dtype=np.float32)
+    path = tmp_path / "bad.mvgc"
+    D.write_tensor_container(path, {"kind": "mvgmn-checkpoint", "config": config}, tensors)
+    with pytest.raises(FormatError, match=match):
+        M.load_checkpoint(path)
 
 
 def test_inspect_graph_returns_unit_graph():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,23 @@ from hypothesis import strategies as st
 
 from mvgmn import scan as S
 from mvgmn import tensor as T
-from mvgmn.errors import ConfigurationError, DimensionError, InputError
+from mvgmn.errors import ConfigurationError, InputError
+from mvgmn.model import ModelConfig
 from mvgmn.tensor import Tensor, check_gradients
 
 
-def make_grid(v, t, d, seed=0, dtype=np.float64):
+def make_rows(v, t, d, seed=0, dtype=np.float64):
+    """A [V, T, D] grid as canonical vertex rows [V*T, D] (row v*T + t)."""
     rng = np.random.default_rng(seed)
-    return S.FeatureGrid(Tensor(rng.standard_normal((v, t, d)).astype(dtype)))
+    return Tensor(rng.standard_normal((v, t, d)).astype(dtype).reshape(v * t, d))
+
+
+def flatten(rows, order, v, t):
+    return T.take_rows(rows, S.scan_permutation(order, v, t))
+
+
+def restore(seq, order, v, t):
+    return T.take_rows(seq, S.inverse_permutation(order, v, t))
 
 
 def make_ssm(d, n, seed=0, dtype=np.float64, requires=True):
@@ -79,58 +91,48 @@ def test_backward_orders_are_exact_reversals(v, t):
 
 
 def test_flatten_reverse_equals_backward_flatten():
-    grid = make_grid(3, 5, 4)
-    fwd = S.flatten_grid(grid, "view_forward").data
-    bwd = S.flatten_grid(grid, "view_backward").data
+    rows = make_rows(3, 5, 4)
+    fwd = flatten(rows, "view_forward", 3, 5).data
+    bwd = flatten(rows, "view_backward", 3, 5).data
     np.testing.assert_array_equal(bwd, fwd[::-1])
 
 
 @pytest.mark.parametrize("order", S.SCAN_ORDERS)
 def test_round_trip_identity(order):
-    grid = make_grid(3, 8, 6, seed=3)
-    seq = S.flatten_grid(grid, order)
-    back = S.restore_grid(seq, order, 3, 8)
-    np.testing.assert_array_equal(back.values.data, grid.values.data)
+    rows = make_rows(3, 8, 6, seed=3)
+    back = restore(flatten(rows, order, 3, 8), order, 3, 8)
+    np.testing.assert_array_equal(back.data, rows.data)
 
 
 def test_round_trip_exhaustive_small_grids():
     for v in range(1, 9):
         for t in range(1, 9):
-            grid = make_grid(v, t, 2, seed=v * 10 + t)
+            rows = make_rows(v, t, 2, seed=v * 10 + t)
             for order in S.SCAN_ORDERS:
-                seq = S.flatten_grid(grid, order)
-                back = S.restore_grid(seq, order, v, t)
-                np.testing.assert_array_equal(back.values.data, grid.values.data)
+                back = restore(flatten(rows, order, v, t), order, v, t)
+                np.testing.assert_array_equal(back.data, rows.data)
 
 
 def test_mismatched_order_round_trip_detects_permutation():
-    grid = make_grid(2, 3, 2, seed=9)
-    seq = S.flatten_grid(grid, "view_forward")
-    wrong = S.restore_grid(seq, "time_forward", 2, 3)
-    assert not np.array_equal(wrong.values.data, grid.values.data)
+    rows = make_rows(2, 3, 2, seed=9)
+    wrong = restore(flatten(rows, "view_forward", 2, 3), "time_forward", 2, 3)
+    assert not np.array_equal(wrong.data, rows.data)
 
 
 def test_degenerate_axis_orders_coincide_up_to_reversal():
     for v, t in [(1, 6), (6, 1)]:
-        grid = make_grid(v, t, 3, seed=v)
-        vf = S.flatten_grid(grid, "view_forward").data
-        tf = S.flatten_grid(grid, "time_forward").data
+        rows = make_rows(v, t, 3, seed=v)
+        vf = flatten(rows, "view_forward", v, t).data
+        tf = flatten(rows, "time_forward", v, t).data
         np.testing.assert_array_equal(vf, tf)
-        np.testing.assert_array_equal(
-            S.flatten_grid(grid, "view_backward").data, tf[::-1]
-        )
-
-
-def test_restore_length_mismatch():
-    with pytest.raises(DimensionError):
-        S.restore_grid(Tensor(np.zeros((5, 2))), "view_forward", 2, 3)
+        np.testing.assert_array_equal(flatten(rows, "view_backward", v, t).data, tf[::-1])
 
 
 def test_unknown_order_and_mode_rejected():
     with pytest.raises(ConfigurationError):
         S.scan_permutation("sideways", 2, 2)
     with pytest.raises(ConfigurationError):
-        S.scan_directions("diagonal")
+        ModelConfig(views=2, time_steps=2, width=4, n_classes=2, scan_mode="diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,21 @@ def test_scan_batched_gradients():
     assert check_gradients(loss, [x, *ssm.tensors()], h=1e-5) < 1e-4
 
 
+def test_untaped_scan_stores_no_state_history():
+    # model parameters always require gradients, so only the tape can say
+    # whether the [B, L, D, N] history will ever be read
+    length, d, n = 256, 16, 16
+    ssm = make_ssm(d, n, seed=41)
+    x = Tensor(np.random.default_rng(42).standard_normal((1, length, d)))
+    tracemalloc.start()
+    try:
+        S.selective_scan(x, ssm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length * d * n * x.data.itemsize
+
+
 def test_scan_rejects_empty_sequence():
     ssm = make_ssm(2, 2, requires=False)
     with pytest.raises(InputError):
@@ -308,11 +325,18 @@ def _direction_params(d, seed, requires=False):
     )
 
 
+def scan_block(rows, mode, layers, v, t):
+    """The mode's directions applied in sequence, as a model unit cycle does."""
+    for order in S.SCAN_MODES[mode]:
+        rows = S.apply_direction(rows, order, layers[order], v, t)
+    return rows
+
+
 def test_block_degenerate_single_vertex():
-    grid = make_grid(1, 1, 3, seed=1)
+    rows = make_rows(1, 1, 3, seed=1)
     layers = {o: _direction_params(3, i) for i, o in enumerate(S.SCAN_ORDERS)}
-    out = S.bidirectional_block(grid, "view_time", layers)
-    assert out.values.shape == (1, 1, 3)
+    out = scan_block(rows, "view_time", layers, 1, 1)
+    assert out.shape == (1, 3)
 
 
 def test_block_identity_composition():
@@ -324,25 +348,25 @@ def test_block_identity_composition():
             conv_bias=Tensor(np.zeros(d)),
             mamba=make_layer(d, d, 4, seed=0, requires=False),
         )
-        for t in p.tensors():
+        for t in p.mamba.tensors():
             t.data[:] = 0.0
         p.mamba.w_res.data = np.eye(d)
         p.mamba.w_out.data = np.eye(d)
         # embedding conv = identity center tap so ReLU sees nonnegative input
         p.conv_kernel.data[1] = np.eye(d)
         layers[o] = p
-    grid = S.FeatureGrid(Tensor(np.abs(np.random.default_rng(4).standard_normal((2, 3, d)))))
-    out = S.bidirectional_block(grid, "view_time", layers)
-    np.testing.assert_allclose(out.values.data, grid.values.data, atol=1e-12)
+    rows = Tensor(np.abs(np.random.default_rng(4).standard_normal((2, 3, d))).reshape(6, d))
+    out = scan_block(rows, "view_time", layers, 2, 3)
+    np.testing.assert_allclose(out.data, rows.data, atol=1e-12)
 
 
 def test_view_vs_time_prioritized_differ():
     d = 4
     shared = {o: _direction_params(d, 7) for o in S.SCAN_ORDERS}
-    grid = make_grid(3, 4, d, seed=8)
-    out_v = S.bidirectional_block(grid, "view_prioritized", shared)
-    out_t = S.bidirectional_block(grid, "time_prioritized", shared)
-    assert not np.allclose(out_v.values.data, out_t.values.data)
+    rows = make_rows(3, 4, d, seed=8)
+    out_v = scan_block(rows, "view_prioritized", shared, 3, 4)
+    out_t = scan_block(rows, "time_prioritized", shared, 3, 4)
+    assert not np.allclose(out_v.data, out_t.data)
 
 
 def test_backward_scan_equals_reverse_forward_reverse():
@@ -350,8 +374,7 @@ def test_backward_scan_equals_reverse_forward_reverse():
     # forward-order sequence, scan it with the same weights, reverse back.
     d, v, t = 3, 3, 4
     params = _direction_params(d, 13)
-    grid = make_grid(v, t, d, seed=14)
-    x = T.reshape(grid.values, (v * t, d))
+    x = make_rows(v, t, d, seed=14)
     direct = S.apply_direction(x, "view_backward", params, v, t).data
 
     seq_fwd = T.take_rows(x, S.scan_permutation("view_forward", v, t))

@@ -209,11 +209,8 @@ OPS = {
     "mul_broadcast": lambda p, x: T.mul(p, x),
     "matmul_left": lambda p, x: T.matmul(p, T.reshape(x, (3, 4))),
     "relu": lambda p, x: T.relu(T.mul(p, x)),
-    "exp": lambda p, x: T.exp(T.mul(p, 0.3)),
-    "softplus": lambda p, x: T.softplus(T.mul(p, x)),
     "softmax": lambda p, x: T.softmax_rows(T.mul(p, x)),
     "mean_axis": lambda p, x: T.mean_axis(T.mul(p, x), axis=0),
-    "sum_axis_keep": lambda p, x: T.sum_axis(T.mul(p, x), axis=1, keepdims=True),
     "swap_last": lambda p, x: T.swap_last(T.mul(p, x)),
     "take_rows": lambda p, x: T.take_rows(T.mul(p, x), [2, 0, 1, 0]),
     "concat": lambda p, x: T.concat([T.mul(p, 2.0), T.mul(p, x)], axis=1),
