@@ -346,14 +346,14 @@ def _cmd_inspect_graph(args) -> int:
         index = dataset.ids.index(args.sample)
     except ValueError:
         raise InputError(f"sample id {args.sample!r} not in dataset") from None
-    g = model_mod.inspect_graph(
+    time_mask, view_mask, nbrs = model_mod.inspect_graph(
         state, dataset.rgb[index : index + 1], dataset.sk[index : index + 1], args.block
     )
     print(json.dumps({
-        "n": g.n_vertices,
-        "rule_time": sorted(list(e) for e in g.rule_time_edges),
-        "rule_view": sorted(list(e) for e in g.rule_view_edges),
-        "knn": sorted(list(e) for e in g.knn_edges),
+        "n": len(time_mask),
+        "rule_time": np.argwhere(np.triu(time_mask)).tolist(),
+        "rule_view": np.argwhere(np.triu(view_mask)).tolist(),
+        "knn": sorted([i, int(j)] for i, row in enumerate(nbrs) for j in row),
     }))
     return 0
 

@@ -347,28 +347,31 @@ class Dataset:
 def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     root = path.parent
-    manifest = json.loads(path.read_text())
-    spec = SyntheticSpec(**manifest["spec"])
     ids, labels, subjects, rgb_all, sk_all = [], [], [], [], []
-    for sample in manifest["samples"]:
-        ids.append(sample["id"])
-        labels.append(sample["label"])
-        subjects.append(sample["subject"])
-        rgb_views, sk_views = [], []
-        for view in sample["views"]:
-            rgb_views.append(read_feature_file(root / view["rgb"]))
-            sk_views.append(read_feature_file(root / view["sk"]))
-        rgb_all.append(np.stack(rgb_views))
-        sk_all.append(np.stack(sk_views))
-    return Dataset(
-        spec=spec,
-        ids=ids,
-        labels=np.asarray(labels, dtype=np.int64),
-        subjects=np.asarray(subjects, dtype=np.int64),
-        rgb=np.stack(rgb_all),
-        sk=np.stack(sk_all),
-        root=root,
-    )
+    try:
+        manifest = json.loads(path.read_text())
+        spec = SyntheticSpec(**manifest["spec"])
+        for sample in manifest["samples"]:
+            ids.append(sample["id"])
+            labels.append(sample["label"])
+            subjects.append(sample["subject"])
+            rgb_views, sk_views = [], []
+            for view in sample["views"]:
+                rgb_views.append(read_feature_file(root / view["rgb"]))
+                sk_views.append(read_feature_file(root / view["sk"]))
+            rgb_all.append(np.stack(rgb_views))
+            sk_all.append(np.stack(sk_views))
+        return Dataset(
+            spec=spec,
+            ids=ids,
+            labels=np.asarray(labels, dtype=np.int64),
+            subjects=np.asarray(subjects, dtype=np.int64),
+            rgb=np.stack(rgb_all),
+            sk=np.stack(sk_all),
+            root=root,
+        )
+    except (ValueError, KeyError, TypeError) as err:  # not JSON, bad keys, mismatched shapes
+        raise FormatError(f"{path}: malformed manifest: {type(err).__name__}: {err}") from None
 
 
 PROTOCOLS = ("cross_subject", "cross_view")

@@ -12,15 +12,15 @@ An aggregator names what happens inside each scheduled unit:
 
 The classification head global-average-pools the final vertex features and
 the original fused grid, concatenates both, and applies a linear classifier.
-KNN edges are rebuilt from each unit's current features; rule edges are
-static per grid shape.
+A graph stage builds one [B, n, n] adjacency per batch from its unit's mixer
+output: KNN edges from those features plus rule edges, static per grid shape;
+rule-only units reuse one normalized operator cached per grid shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -183,11 +183,10 @@ class ModelState:
 
     config: ModelConfig
     params: dict[str, Tensor]
-    schedule: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.schedule:
-            self.schedule = block_schedule(self.config.n_blocks, self.config.scan_mode)
+    @property
+    def schedule(self) -> list[str]:
+        return block_schedule(self.config.n_blocks, self.config.scan_mode)
 
     @property
     def dtype(self):
@@ -203,28 +202,30 @@ def count_parameters(state: ModelState) -> int:
 
 
 class _Init:
-    """Deterministic parameter factory; creation order fixes the byte layout."""
+    """Deterministic parameter factory; creation order fixes the byte layout.
 
-    def __init__(self, seed: int, dtype):
-        self.rng = Xoshiro256pp(derive_seed(seed, _INIT_TAG))
+    Without an rng it draws nothing and records each tensor's shape instead.
+    """
+
+    def __init__(self, rng: Xoshiro256pp | None, dtype=None):
+        self.rng = rng
         self.dtype = dtype
-        self.params: dict[str, Tensor] = {}
+        self.params: dict = {}
 
-    def _add(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data.astype(self.dtype), requires_grad=True)
-        self.params[name] = t
-        return t
+    def _add(self, name: str, shape: tuple[int, ...], make) -> None:
+        drawn = self.rng is not None
+        self.params[name] = Tensor(make().astype(self.dtype), requires_grad=True) if drawn else shape
 
     def dense(self, name: str, shape: tuple[int, ...], fan_in: int, fan_out: int):
         std = math.sqrt(2.0 / (fan_in + fan_out))
-        data = self.rng.normals(int(np.prod(shape))).reshape(shape) * std
-        return self._add(name, data)
+        self._add(name, shape, lambda: self.rng.normals(int(np.prod(shape))).reshape(shape) * std)
 
     def zeros(self, name: str, shape: tuple[int, ...]):
-        return self._add(name, np.zeros(shape))
+        self._add(name, shape, lambda: np.zeros(shape))
 
     def constant(self, name: str, data: np.ndarray):
-        return self._add(name, np.asarray(data, dtype=np.float64))
+        data = np.asarray(data, dtype=np.float64)
+        self._add(name, data.shape, lambda: data)
 
 
 def _init_ssm(ini: _Init, prefix: str, d: int, n: int) -> None:
@@ -252,10 +253,8 @@ def _init_scan_unit(ini: _Init, prefix: str, cfg: ModelConfig) -> None:
     _init_ssm(ini, f"{prefix}.mamba.ssm", d_in, cfg.state_dim)
 
 
-def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState:
-    """Create all trainable tensors for the config's aggregator."""
-    ini = _Init(seed, dtype)
-    cfg = config
+def _populate(ini: _Init, cfg: ModelConfig) -> dict:
+    """Add every tensor for the config's aggregator; returns ``ini.params``."""
     d = cfg.width
 
     if cfg.fusion_mode == "cross_attention":
@@ -271,8 +270,7 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelSta
         )
 
     mixer, edge_kind = _UNIT_LAYOUT[cfg.aggregator]
-    schedule = block_schedule(cfg.n_blocks, cfg.scan_mode)
-    for u in range(len(schedule)):
+    for u in range(cfg.n_blocks):  # block_schedule has one direction per block
         prefix = f"unit{u:02d}"
         if mixer == "scan":
             _init_scan_unit(ini, f"{prefix}.scan", cfg)
@@ -288,7 +286,13 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelSta
 
     ini.dense("head.weight", (2 * d, cfg.n_classes), 2 * d, cfg.n_classes)
     ini.zeros("head.bias", (cfg.n_classes,))
-    return ModelState(config=cfg, params=ini.params, schedule=schedule)
+    return ini.params
+
+
+def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelState:
+    """Create all trainable tensors for the config's aggregator."""
+    params = _populate(_Init(Xoshiro256pp(derive_seed(seed, _INIT_TAG)), dtype), config)
+    return ModelState(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -298,53 +302,26 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelSta
 
 def fusion_params(state: ModelState) -> FusionParams:
     p = state.params
-    return FusionParams(
-        w_query=p.get("fusion.w_query"),
-        w_key=p.get("fusion.w_key"),
-        w_value=p.get("fusion.w_value"),
-        fusion_mode=state.config.fusion_mode,
-        w_skeleton=p.get("fusion.w_skeleton"),
-        w_linear=p.get("fusion.w_linear"),
-    )
+    weights = {k.removeprefix("fusion."): t for k, t in p.items() if k.startswith("fusion.")}
+    return FusionParams(fusion_mode=state.config.fusion_mode, **weights)
 
 
 def _direction_params(state: ModelState, unit: int) -> DirectionParams:
+    """A scan unit's weights; each field is read from the parameter of its path."""
     p = state.params
+
+    def fill(cls, prefix, **nested):
+        named = {f.name: p[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in nested}
+        return cls(**named, **nested)
+
     pre = f"unit{unit:02d}.scan"
-    return DirectionParams(
-        conv_kernel=p[f"{pre}.conv_kernel"],
-        conv_bias=p[f"{pre}.conv_bias"],
-        mamba=MambaLayerParams(
-            w_in=p[f"{pre}.mamba.w_in"],
-            b_in=p[f"{pre}.mamba.b_in"],
-            w_res=p[f"{pre}.mamba.w_res"],
-            b_res=p[f"{pre}.mamba.b_res"],
-            w_out=p[f"{pre}.mamba.w_out"],
-            b_out=p[f"{pre}.mamba.b_out"],
-            conv_weight=p[f"{pre}.mamba.conv_weight"],
-            conv_bias=p[f"{pre}.mamba.conv_bias"],
-            ssm=SsmParams(
-                a_log=p[f"{pre}.mamba.ssm.a_log"],
-                b_proj=p[f"{pre}.mamba.ssm.b_proj"],
-                c_proj=p[f"{pre}.mamba.ssm.c_proj"],
-                dt_weight=p[f"{pre}.mamba.ssm.dt_weight"],
-                dt_bias=p[f"{pre}.mamba.ssm.dt_bias"],
-                skip_gain=p[f"{pre}.mamba.ssm.skip_gain"],
-            ),
-        ),
-    )
+    ssm = fill(SsmParams, f"{pre}.mamba.ssm")
+    return fill(DirectionParams, pre, mamba=fill(MambaLayerParams, f"{pre}.mamba", ssm=ssm))
 
 
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _rule_norm(views: int, time_steps: int) -> np.ndarray:
-    time_e, view_e = graph_mod.rule_edges(views, time_steps)
-    a_tilde, d_tilde = graph_mod.assemble_adjacency(time_e | view_e, set(), views * time_steps)
-    return graph_mod.normalized_operator(a_tilde, d_tilde)
 
 
 def fuse_batch(
@@ -400,34 +377,15 @@ def _self_attention(state: ModelState, unit: int, x: Tensor) -> Tensor:
     return add(x, scan_mod.project(ctx, p[f"{pre}.w_out"]))
 
 
-def _graph_stage(
-    state: ModelState,
-    unit: int,
-    x: Tensor,
-    edge_kind: str,
-    graph_sink: dict | None,
-) -> Tensor:
+def _graph_stage(state: ModelState, unit: int, x: Tensor, edge_kind: str) -> Tensor:
     cfg = state.config
-    b, n, _ = x.shape
     if edge_kind == "rule":
-        norm = np.broadcast_to(
-            _rule_norm(cfg.views, cfg.time_steps).astype(x.dtype), (b, n, n)
-        )
-        if graph_sink is not None:
-            time_e, view_e = graph_mod.rule_edges(cfg.views, cfg.time_steps)
-            a_tilde, d_tilde = graph_mod.assemble_adjacency(time_e | view_e, set(), n)
-            graph_sink[unit] = graph_mod.ViewTemporalGraph(
-                n, time_e, view_e, set(), a_tilde, d_tilde
-            )
+        op = graph_mod.rule_operator(cfg.views, cfg.time_steps, x.dtype)
+        norm = np.broadcast_to(op, x.shape[:1] + op.shape)
     else:
-        feats = x.data  # edge selection is structural: no gradient flows through it
-        mats = np.empty((b, n, n), dtype=x.dtype)
-        for i in range(b):
-            g = graph_mod.build_graph(cfg.views, cfg.time_steps, feats[i], cfg.knn_k)
-            mats[i] = graph_mod.normalized_operator(g.a_tilde, g.d_tilde)
-            if graph_sink is not None and i == 0:
-                graph_sink[unit] = g
-        norm = mats
+        # edge selection is structural: no gradient flows through it
+        a_tilde = graph_mod.build_graph(cfg.views, cfg.time_steps, x.data, cfg.knn_k)
+        norm = graph_mod.normalized_operator(a_tilde).astype(x.dtype)
     norm_t = Tensor(norm)
     for layer in range(cfg.gcn_layers_per_block):
         w = state.params[f"unit{unit:02d}.gcn.l{layer}.weight"]
@@ -435,32 +393,29 @@ def _graph_stage(
     return x
 
 
-def _apply_unit(
-    state: ModelState,
-    unit: int,
-    direction: str,
-    x: Tensor,
-    graph_sink: dict | None = None,
-) -> Tensor:
+def _mix(state: ModelState, unit: int, direction: str, x: Tensor) -> Tensor:
+    """The unit's per-vertex or sequence mixer, which feeds its graph stage."""
     cfg = state.config
-    mixer, edge_kind = _UNIT_LAYOUT[cfg.aggregator]
+    mixer = _UNIT_LAYOUT[cfg.aggregator][0]
     if mixer == "scan":
-        x = scan_mod.apply_direction(
+        return scan_mod.apply_direction(
             x, direction, _direction_params(state, unit), cfg.views, cfg.time_steps
         )
-    elif mixer == "attention":
-        x = _self_attention(state, unit, x)
-    else:
-        p = state.params
-        x = scan_mod.project(x, p[f"unit{unit:02d}.mix.weight"], p[f"unit{unit:02d}.mix.bias"])
+    if mixer == "attention":
+        return _self_attention(state, unit, x)
+    p = state.params
+    return scan_mod.project(x, p[f"unit{unit:02d}.mix.weight"], p[f"unit{unit:02d}.mix.bias"])
+
+
+def _apply_unit(state: ModelState, unit: int, direction: str, x: Tensor) -> Tensor:
+    x = _mix(state, unit, direction, x)
+    edge_kind = _UNIT_LAYOUT[state.config.aggregator][1]
     if edge_kind is not None:
-        x = _graph_stage(state, unit, x, edge_kind, graph_sink)
+        x = _graph_stage(state, unit, x, edge_kind)
     return x
 
 
-def forward_grid_batch(
-    state: ModelState, grid: Tensor, graph_sink: dict | None = None
-) -> Tensor:
+def forward_grid_batch(state: ModelState, grid: Tensor) -> Tensor:
     """Aggregator plus head on pre-fused canonical grids [B, V*T, D]."""
     cfg = state.config
     if grid.data.ndim != 3 or grid.shape[1] != cfg.n_vertices or grid.shape[2] != cfg.width:
@@ -469,39 +424,43 @@ def forward_grid_batch(
         )
     x = grid
     for unit, direction in enumerate(state.schedule):
-        x = _apply_unit(state, unit, direction, x, graph_sink)
+        x = _apply_unit(state, unit, direction, x)
     pooled = concat([mean_axis(x, axis=1), mean_axis(grid, axis=1)], axis=1)
     pooled = mul(pooled, cfg.head_gain)
     return add(matmul(pooled, state.params["head.weight"]), state.params["head.bias"])
 
 
 def forward_batch(
-    state: ModelState,
-    rgb: np.ndarray,
-    sk: np.ndarray,
-    mask_view: int | None = None,
-    graph_sink: dict | None = None,
+    state: ModelState, rgb: np.ndarray, sk: np.ndarray, mask_view: int | None = None
 ) -> Tensor:
     """Full pipeline: fusion, scheduled units, pooled classifier logits."""
-    fused = fuse_batch(state, rgb, sk, mask_view)
-    return forward_grid_batch(state, fused, graph_sink)
+    return forward_grid_batch(state, fuse_batch(state, rgb, sk, mask_view))
 
 
 def inspect_graph(
     state: ModelState, rgb: np.ndarray, sk: np.ndarray, block_index: int
-) -> graph_mod.ViewTemporalGraph:
-    """Graph built by the given unit for the first sample of the batch."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges the given unit builds for the first sample of the batch.
+
+    Replays the units before it and the unit's mixer, then returns the rule
+    masks (``graph.rule_edges``) and the KNN neighbour indices [n, k] of the
+    mixer output; a rule-only unit has [n, 0] neighbours.
+    """
+    cfg = state.config
     if not 0 <= block_index < len(state.schedule):
         raise InputError(
             f"block index {block_index} outside schedule of {len(state.schedule)} units"
         )
-    if _UNIT_LAYOUT[state.config.aggregator][1] is None:
-        raise InputError(
-            f"aggregator {state.config.aggregator!r} has no graph stage to inspect"
-        )
-    sink: dict[int, graph_mod.ViewTemporalGraph] = {}
-    forward_batch(state, rgb, sk, graph_sink=sink)
-    return sink[block_index]
+    edge_kind = _UNIT_LAYOUT[cfg.aggregator][1]
+    if edge_kind is None:
+        raise InputError(f"aggregator {cfg.aggregator!r} has no graph stage to inspect")
+    x = fuse_batch(state, rgb, sk)
+    for unit, direction in enumerate(state.schedule[:block_index]):
+        x = _apply_unit(state, unit, direction, x)
+    x = _mix(state, block_index, state.schedule[block_index], x)
+    knn = edge_kind == "rule_knn"
+    nbrs = graph_mod.knn_edges(x.data[0], cfg.knn_k) if knn else np.empty((x.shape[1], 0), int)
+    return (*graph_mod.rule_edges(cfg.views, cfg.time_steps), nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +481,7 @@ def load_checkpoint(path) -> ModelState:
         config = ModelConfig(**meta.get("config"))
     except TypeError as err:  # absent config, or unknown, missing or mistyped fields
         raise FormatError(f"{path}: bad checkpoint config: {err}") from None
-    want = {k: t.shape for k, t in init_state(config).params.items()}
+    want = _populate(_Init(None), config)  # names and shapes only: no draws
     have = {k: v.shape for k, v in tensors.items()}
     if have != want:
         names = sorted(want.keys() | have.keys())

@@ -190,6 +190,32 @@ def test_truncated_checkpoint_is_validation_error(dataset_dir, tmp_path, capsys)
     assert capsys.readouterr().err.count("error: ") == len(blob)
 
 
+def _break_manifest(manifest, case):
+    if case == "not_json":
+        return "{not json"
+    if case == "no_spec":
+        del manifest["spec"]
+    elif case == "sample_without_id":
+        del manifest["samples"][0]["id"]
+    else:
+        manifest["spec"]["dropout"] = 0.1
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("case", ["not_json", "no_spec", "sample_without_id", "unknown_spec_key"])
+def test_malformed_manifest_is_validation_error(dataset_dir, tmp_path, capsys, case):
+    cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
+                                sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
+    ckpt = tmp_path / "model.mvgc"
+    model_mod.save_checkpoint(ckpt, model_mod.init_state(cfg))
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    bad = dataset_dir / f"broken_{case}.json"  # beside the feature files it names
+    bad.write_text(_break_manifest(manifest, case))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(bad)])
+    assert code == 1
+    assert f"error: {bad}: malformed manifest" in capsys.readouterr().err
+
+
 def test_unwritable_out_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvgmn import graph as G
@@ -34,23 +34,56 @@ def brute_force_knn(x, k):
     return edges
 
 
+def assemble_adjacency(rule, knn, n):
+    """Oracle: symmetrized union adjacency with self-loops, and its degree matrix."""
+    a = np.zeros((n, n))
+    for i, j in list(rule) + list(knn):
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    a_tilde = a + np.eye(n)
+    return a_tilde, np.diag(a_tilde.sum(axis=1))
+
+
+def oracle_operator(a_tilde, d_tilde):
+    """Oracle: D^-1/2 A D^-1/2 from the degree matrix."""
+    inv_sqrt = 1.0 / np.sqrt(np.diag(d_tilde))
+    return a_tilde * np.outer(inv_sqrt, inv_sqrt)
+
+
+def pair_set(mask):
+    """Unordered pairs (i < j) of a symmetric boolean adjacency without self-loops."""
+    edges = {(int(i), int(j)) for i, j in np.argwhere(mask)}
+    assert edges == {(j, i) for i, j in edges}, "adjacency is not symmetric"
+    assert all(i != j for i, j in edges), "adjacency has a self-loop"
+    return {(i, j) for i, j in edges if i < j}
+
+
+def rule_edge_sets(v, t):
+    return tuple(pair_set(m) for m in G.rule_edges(v, t))
+
+
+def knn_edge_set(nbrs):
+    """Directed edges (i, j) of one graph's [n, k] neighbour indices."""
+    return {(i, int(j)) for i, row in enumerate(nbrs) for j in row}
+
+
 # ---------------------------------------------------------------------------
 # rule edges
 # ---------------------------------------------------------------------------
 
 
 def test_rule_edges_single_vertex_empty():
-    time_e, view_e = G.rule_edges(1, 1)
+    time_e, view_e = rule_edge_sets(1, 1)
     assert time_e == set() and view_e == set()
 
 
 def test_rule_edges_two_by_two():
-    time_e, view_e = G.rule_edges(2, 2)
+    time_e, view_e = rule_edge_sets(2, 2)
     assert len(time_e) == 2 and len(view_e) == 2
 
 
 def test_rule_edges_three_views_eight_steps():
-    time_e, view_e = G.rule_edges(3, 8)
+    time_e, view_e = rule_edge_sets(3, 8)
     assert len(time_e) == 84  # 3 * C(8,2)
     assert len(view_e) == 24  # 8 * C(3,2)
     assert len(time_e | view_e) == 108
@@ -59,7 +92,7 @@ def test_rule_edges_three_views_eight_steps():
 @given(st.integers(1, 4), st.integers(1, 6))
 @settings(max_examples=24, deadline=None)
 def test_rule_edges_match_exhaustive_oracle(v, t):
-    assert G.rule_edges(v, t) == brute_force_rule_edges(v, t)
+    assert rule_edge_sets(v, t) == brute_force_rule_edges(v, t)
 
 
 def test_rule_edges_reject_bad_sizes():
@@ -74,18 +107,18 @@ def test_rule_edges_reject_bad_sizes():
 
 def test_knn_complete_digraph_when_k_is_max():
     x = np.random.default_rng(0).standard_normal((5, 3))
-    edges = G.knn_edges(x, 4)
+    edges = knn_edge_set(G.knn_edges(x, 4))
     assert edges == {(i, j) for i in range(5) for j in range(5) if i != j}
 
 
 def test_knn_zero_norm_row_falls_back_to_distance():
     x = np.array([[0.0], [1.0], [10.0]])
-    assert G.knn_edges(x, 1) == {(0, 1), (1, 0), (2, 1)}
+    assert knn_edge_set(G.knn_edges(x, 1)) == {(0, 1), (1, 0), (2, 1)}
 
 
 def test_knn_duplicate_rows_mutual_and_tie_broken():
     x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
-    edges = G.knn_edges(x, 1)
+    edges = knn_edge_set(G.knn_edges(x, 1))
     # all three duplicates are pairwise at similarity 1; lower index wins
     assert edges == {(0, 1), (1, 0), (2, 0), (3, 0)}
 
@@ -96,7 +129,7 @@ def test_knn_matches_brute_force(seed):
     n = int(rng.integers(3, 25))
     k = int(rng.integers(1, 4))
     x = rng.standard_normal((n, 5))
-    assert G.knn_edges(x, k) == brute_force_knn(x, k)
+    assert knn_edge_set(G.knn_edges(x, k)) == brute_force_knn(x, k)
 
 
 def test_knn_k_out_of_range():
@@ -113,38 +146,72 @@ def test_knn_k_out_of_range():
 
 
 def test_assemble_no_edges_gives_identity():
-    a_tilde, d_tilde = G.assemble_adjacency(set(), set(), 3)
+    a_tilde, d_tilde = assemble_adjacency(set(), set(), 3)
     np.testing.assert_array_equal(a_tilde, np.eye(3))
     np.testing.assert_array_equal(d_tilde, np.eye(3))
+    # an edgeless self-looped graph normalizes to the identity
+    np.testing.assert_array_equal(G.normalized_operator(np.eye(3, dtype=bool)), np.eye(3))
 
 
 def test_assemble_single_edge():
-    a_tilde, d_tilde = G.assemble_adjacency({(0, 1)}, set(), 2)
+    a_tilde, d_tilde = assemble_adjacency({(0, 1)}, set(), 2)
     np.testing.assert_array_equal(a_tilde, [[1, 1], [1, 1]])
     np.testing.assert_array_equal(d_tilde, [[2, 0], [0, 2]])
+    # two views of one step: the rule edge and both KNN edges are that pair
+    built = G.build_graph(2, 1, np.array([[1.0, 0.0], [0.0, 1.0]]), k=1)
+    np.testing.assert_array_equal(built, a_tilde)
+    np.testing.assert_array_equal(G.normalized_operator(built), oracle_operator(a_tilde, d_tilde))
 
 
-@given(st.integers(2, 10), st.data())
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=30, deadline=None)
-def test_assemble_symmetric_and_degrees_consistent(n, data):
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda e: e[0] != e[1]
-    )
-    rule = set(data.draw(st.lists(pairs, max_size=8)))
-    knn = set(data.draw(st.lists(pairs, max_size=8)))
-    a_tilde, d_tilde = G.assemble_adjacency(rule, knn, n)
+def test_assemble_symmetric_and_degrees_consistent(v, t, seed, data):
+    n = v * t
+    assume(n >= 2)
+    k = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, int(rng.integers(1, 5))))
+    rule = set().union(*brute_force_rule_edges(v, t))
+    knn = brute_force_knn(x, k)
+    a_tilde, d_tilde = assemble_adjacency(rule, knn, n)
+    built = G.build_graph(v, t, x, k)
+    np.testing.assert_array_equal(built, a_tilde)
+    np.testing.assert_array_equal(G.normalized_operator(built), oracle_operator(a_tilde, d_tilde))
     np.testing.assert_array_equal(a_tilde, a_tilde.T)
     np.testing.assert_array_equal(np.diag(d_tilde), a_tilde.sum(axis=1))
     # idempotent union: assembling the derived undirected edges again is stable
-    again, _ = G.assemble_adjacency(rule | knn, set(), n)
+    again, _ = assemble_adjacency(rule | knn, set(), n)
     np.testing.assert_array_equal(again, a_tilde)
 
 
-def test_assemble_rejects_out_of_range_and_self_edges():
-    with pytest.raises(InputError):
-        G.assemble_adjacency({(0, 5)}, set(), 3)
-    with pytest.raises(InputError):
-        G.assemble_adjacency({(1, 1)}, set(), 3)
+def test_build_graph_batch_equals_each_graph_built_alone():
+    # a batch of three graphs, each against the oracle and its own single build
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 12, 5))
+    built = G.build_graph(3, 4, x, k=3)
+    ops = G.normalized_operator(built)
+    rule = set().union(*brute_force_rule_edges(3, 4))
+    for i in range(3):
+        a_tilde, d_tilde = assemble_adjacency(rule, brute_force_knn(x[i], 3), 12)
+        np.testing.assert_array_equal(built[i], a_tilde)
+        np.testing.assert_array_equal(ops[i], oracle_operator(a_tilde, d_tilde))
+        np.testing.assert_array_equal(G.knn_edges(x, 3)[i], G.knn_edges(x[i], 3))
+
+
+def test_build_graph_falls_back_to_distance_per_graph():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 6, 4)) * rng.uniform(0.1, 10.0, (2, 6, 1))
+    x[0, 2] = 0.0  # graph 0 ranks by distance, graph 1 by cosine
+    built = G.build_graph(2, 3, x, k=2)
+    nbrs = G.knn_edges(x, 2)
+    for i in range(2):
+        np.testing.assert_array_equal(built[i], G.build_graph(2, 3, x[i], k=2))
+        np.testing.assert_array_equal(nbrs[i], G.knn_edges(x[i], 2))
+        assert knn_edge_set(nbrs[i]) == brute_force_knn(x[i], 2)
+    # ranking graph 1 by distance, as a batch-wide fallback would, changes it
+    dist = np.linalg.norm(x[1][:, None] - x[1][None], axis=-1) + np.diag(np.full(6, np.inf))
+    by_distance = np.argsort(dist, axis=1, kind="stable")[:, :2]
+    assert knn_edge_set(nbrs[1]) != knn_edge_set(by_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +225,23 @@ def test_normalized_operator_spectral_norm_bounded():
         n = int(rng.integers(2, 12))
         mask = rng.random((n, n)) < 0.4
         edges = {(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]}
-        a_tilde, d_tilde = G.assemble_adjacency(edges, set(), n)
-        op = G.normalized_operator(a_tilde, d_tilde)
+        a_tilde, d_tilde = assemble_adjacency(edges, set(), n)
+        op = G.normalized_operator(a_tilde)
+        np.testing.assert_array_equal(op, oracle_operator(a_tilde, d_tilde))
         assert np.abs(np.linalg.eigvalsh(op)).max() <= 1 + 1e-9
 
 
 def test_rule_graph_preserves_constant_columns():
     # rule graphs are regular, so the normalized operator fixes constants
-    time_e, view_e = G.rule_edges(3, 4)
-    a_tilde, d_tilde = G.assemble_adjacency(time_e | view_e, set(), 12)
-    op = G.normalized_operator(a_tilde, d_tilde)
+    op = G.rule_operator(3, 4, np.dtype(np.float64))
     np.testing.assert_allclose(op @ np.ones(12), np.ones(12), atol=1e-12)
+    rule = set().union(*brute_force_rule_edges(3, 4))
+    np.testing.assert_array_equal(op, oracle_operator(*assemble_adjacency(rule, set(), 12)))
 
 
 def normalized_batch(*graphs):
     """Stack each graph's normalized operator as the [B, n, n] propagation input."""
-    ops = [G.normalized_operator(*G.assemble_adjacency(*g)) for g in graphs]
-    return Tensor(np.stack(ops))
+    return Tensor(np.stack([G.normalized_operator(assemble_adjacency(*g)[0]) for g in graphs]))
 
 
 def test_gcn_edgeless_identity_on_nonnegative():
@@ -212,9 +279,9 @@ def test_gcn_shape_mismatch():
 
 def test_build_graph_bundles_edges():
     x = np.random.default_rng(11).standard_normal((6, 4))
-    g = G.build_graph(2, 3, x, k=2)
-    assert g.n_vertices == 6
-    assert g.rule_time_edges == G.rule_edges(2, 3)[0]
-    assert g.knn_edges == G.knn_edges(x, 2)
-    assert g.a_tilde.shape == (6, 6)
-    np.testing.assert_array_equal(np.diag(g.a_tilde), np.ones(6))
+    a_tilde = G.build_graph(2, 3, x, k=2)
+    time_e, view_e = rule_edge_sets(2, 3)
+    want, _ = assemble_adjacency(time_e | view_e, knn_edge_set(G.knn_edges(x, 2)), 6)
+    assert a_tilde.shape == (6, 6)
+    np.testing.assert_array_equal(a_tilde, want)
+    np.testing.assert_array_equal(np.diag(a_tilde), np.ones(6))

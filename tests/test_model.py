@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mvgmn import data as D
+from mvgmn import graph as G
 from mvgmn import model as M
 from mvgmn import tensor as T
 from mvgmn.errors import ConfigurationError, FormatError, InputError
+from mvgmn.rng import Xoshiro256pp
 from mvgmn.tensor import Tensor, check_gradients
 
 
@@ -278,16 +280,50 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
         M.load_checkpoint(path)
 
 
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    state = M.init_state(tiny_config(), seed=15)
+    path = tmp_path / "model.mvgc"
+    M.save_checkpoint(path, state)
+
+    def no_draws(self, count):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(Xoshiro256pp, "normals", no_draws)
+    loaded = M.load_checkpoint(path)
+    assert list(loaded.params) == list(state.params)
+
+
 def test_inspect_graph_returns_unit_graph():
     cfg = tiny_config()
     state = M.init_state(cfg, seed=12)
     rgb, sk = tiny_inputs(cfg)
-    g = M.inspect_graph(state, rgb, sk, block_index=1)
-    assert g.n_vertices == 4
-    assert len(g.knn_edges) == 4  # one out-edge per vertex at k=1
-    assert g.rule_time_edges and g.rule_view_edges
+    time_mask, view_mask, nbrs = M.inspect_graph(state, rgb, sk, block_index=1)
+    assert time_mask.shape == view_mask.shape == (4, 4)
+    assert nbrs.shape == (4, 1)  # one out-edge per vertex at k=1
+    assert time_mask.any() and view_mask.any()
     with pytest.raises(InputError):
         M.inspect_graph(state, rgb, sk, block_index=7)
     lin = M.init_state(tiny_config(aggregator="linear"), seed=13)
     with pytest.raises(InputError):
         M.inspect_graph(lin, rgb, sk, block_index=0)
+
+
+@pytest.mark.parametrize("aggregator", ["mvgmn", "attention_graph"])
+def test_inspect_graph_reports_the_forward_graph(aggregator, monkeypatch):
+    cfg = tiny_config(aggregator=aggregator, time_steps=3, knn_k=2)
+    state = M.init_state(cfg, seed=16)
+    rgb, sk = tiny_inputs(cfg, batch=1)
+    built = []
+    knn_edges = G.knn_edges
+
+    def recording(x, k):
+        built.append(knn_edges(x, k))
+        return built[-1]
+
+    monkeypatch.setattr(G, "knn_edges", recording)
+    M.forward_batch(state, rgb, sk)
+    monkeypatch.undo()
+    assert len(built) == len(state.schedule)
+    for unit, nbrs in enumerate(built):
+        got = M.inspect_graph(state, rgb, sk, block_index=unit)[2]
+        np.testing.assert_array_equal(got, nbrs[0])

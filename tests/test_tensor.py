@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,8 +222,9 @@ OPS = {
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_op_gradients_match_finite_differences(name):
     op = OPS[name]
-    p = _param((4, 3), seed=hash(name) % 1000)
-    x = _rand((4, 3), seed=hash(name) % 1000 + 1)
+    seed = zlib.crc32(name.encode()) % 1000  # str hash() is salted per process
+    p = _param((4, 3), seed=seed)
+    x = _rand((4, 3), seed=seed + 1)
 
     def loss():
         out = op(p, x)
