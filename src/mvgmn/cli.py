@@ -317,7 +317,12 @@ def _cmd_bench(args) -> int:
     for agg in aggregators:
         if agg not in model_mod.AGGREGATORS:
             raise ConfigurationError(f"unknown aggregator {agg!r}")
-    lengths = tuple(int(x) for x in args.lengths.split(",") if x)
+    try:
+        lengths = tuple(int(x) for x in args.lengths.split(",") if x)
+    except ValueError:
+        raise ConfigurationError(
+            f"--lengths must be comma-separated integers, got {args.lengths!r}"
+        ) from None
     bench_mod.pin_to_one_core()
     records = bench_mod.run_scaling_bench(
         aggregators=aggregators,

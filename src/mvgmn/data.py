@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +174,21 @@ def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
+def check_number_fields(config) -> None:
+    """Reject a config dataclass whose ``int`` or ``float`` field holds another type.
+
+    Config files, manifests and checkpoints are JSON, which can carry ``2.0``
+    or ``"8"`` where an integer belongs; numpy would fail on it much later.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if f.type in ("int", int) and type(value) is not int:
+            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("float", float) and not number:
+            raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Shape and difficulty knobs for the generated dataset."""
@@ -195,6 +210,7 @@ class SyntheticSpec:
         return 2 * self.time_steps
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be nonnegative")
         for name in ("views", "time_steps", "patches", "rgb_dim", "sk_dim",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from . import scan as scan_mod
-from .data import SyntheticSpec, read_tensor_container, write_tensor_container
+from .data import SyntheticSpec, check_number_fields, read_tensor_container, write_tensor_container
 from .errors import ConfigurationError, FormatError, InputError
 from .fusion import (
     FUSION_MODES,
@@ -108,6 +108,7 @@ class ModelConfig:
         return self.inner_expand * self.width
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.aggregator not in AGGREGATORS:
             raise ConfigurationError(
                 f"unknown aggregator {self.aggregator!r}; expected one of {AGGREGATORS}"

@@ -1,12 +1,15 @@
 """Dense numeric substrate with reverse-mode autodiff on a gradient tape.
 
 Tensors wrap numpy arrays (float32 for training/benchmark runs, float64 for
-gradient checking) and are treated as immutable values. Inside a ``GradTape``
-context, every operation whose inputs require gradients appends a backward
-closure to the tape; ``GradTape.backward`` replays the closures in reverse
-execution order, which is a reverse topological order of the graph, visiting
-each recorded operation exactly once. Gradients accumulate additively across
-fan-out.
+gradient checking) and are treated as immutable values. Every differentiable
+op computes its forward result in numpy and hands it to ``custom_op`` with a
+function that maps d(loss)/d(out) to one gradient per input. Inside a
+``GradTape`` context, ``custom_op`` records one backward closure through
+``GradTape.record`` for every op whose inputs require gradients; that is the
+only place anything reaches the tape. ``GradTape.backward`` replays the
+closures in reverse execution order, which is a reverse topological order of
+the graph, visiting each recorded operation exactly once. Gradients
+accumulate additively across fan-out.
 
 Outside a tape context operations run plain numpy with no recording, which is
 the inference/benchmark fast path.
@@ -113,24 +116,10 @@ class GradTape:
             fn()
 
 
-def _make(data: np.ndarray) -> Tensor:
-    _check_finite(data)
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.requires = False
-    return out
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def _record(out: Tensor, backward_fn: Callable[[], None]) -> None:
-    out.requires = True
-    _active_tape.record(backward_fn)
 
 
 def _tracking(*tensors: Tensor) -> bool:
@@ -153,26 +142,33 @@ def custom_op(
     inputs: Sequence[Tensor],
     backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
 ) -> Tensor:
-    """Wrap an externally computed forward result as a differentiable op.
+    """Wrap a forward result as an op; the only way an op reaches the tape.
 
-    ``backward`` receives d(loss)/d(out) and must return one gradient array
-    (or None) per input, in order. Used by ops whose backward is hand-derived
-    rather than composed, e.g. the selective scan recurrence.
+    When a tape is active and any input requires gradients, the output is
+    marked as requiring them and one closure is recorded through
+    ``GradTape.record``. On replay, once a gradient has reached the output,
+    the closure calls ``backward`` with d(loss)/d(out). ``backward`` returns
+    one gradient array (or None) per input, in order; they accumulate into
+    the inputs in that order. The gradient of an input whose ``requires`` is
+    false is dropped, so ``backward`` returns None for it rather than pay to
+    compute it (a constant graph operator, say).
     """
+    _check_finite(out_data)
+    out = Tensor.__new__(Tensor)  # skips __init__: ops hand over float arrays
+    out.data, out.grad, out.requires = out_data, None, False
     inputs = list(inputs)
-    out = _make(out_data)
     if _tracking(*inputs):
 
         def bwd():
             g = out.grad
             if g is None:
                 return
-            grads = backward(g)
-            for t, gt in zip(inputs, grads):
+            for t, gt in zip(inputs, backward(g)):
                 if t.requires and gt is not None:
                     _accum(t, gt)
 
-        _record(out, bwd)
+        out.requires = True
+        _active_tape.record(bwd)
     return out
 
 
@@ -185,58 +181,22 @@ def add(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a, b = b, a  # scalar + tensor
     if isinstance(b, (int, float)):
-        out = _make(a.data + b)
-        if _tracking(a):
-
-            def bwd():
-                if out.grad is not None:
-                    _accum(a, out.grad)
-
-            _record(out, bwd)
-        return out
-    out = _make(a.data + b.data)
-    if _tracking(a, b):
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires:
-                _accum(b, _unbroadcast(g, b.data.shape))
-
-        _record(out, bwd)
-    return out
+        return custom_op(a.data + b, [a], lambda g: [g])
+    return custom_op(a.data + b.data, [a, b], lambda g: [
+        _unbroadcast(g, a.data.shape) if a.requires else None,
+        _unbroadcast(g, b.data.shape) if b.requires else None,
+    ])
 
 
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a, b = b, a
     if isinstance(b, (int, float)):
-        out = _make(a.data * b)
-        if _tracking(a):
-
-            def bwd():
-                if out.grad is not None:
-                    _accum(a, out.grad * b)
-
-            _record(out, bwd)
-        return out
-    out = _make(a.data * b.data)
-    if _tracking(a, b):
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-        _record(out, bwd)
-    return out
+        return custom_op(a.data * b, [a], lambda g: [g * b])
+    return custom_op(a.data * b.data, [a, b], lambda g: [
+        _unbroadcast(g * b.data, a.data.shape) if a.requires else None,
+        _unbroadcast(g * a.data, b.data.shape) if b.requires else None,
+    ])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -249,20 +209,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
-    out = _make(a.data @ b.data)
-    if _tracking(a, b):
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires:
-                _accum(a, g @ b.data.T)
-            if b.requires:
-                _accum(b, a.data.T @ g)
-
-        _record(out, bwd)
-    return out
+    return custom_op(a.data @ b.data, [a, b], lambda g: [
+        g @ b.data.T if a.requires else None,
+        a.data.T @ g if b.requires else None,
+    ])
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -275,97 +225,46 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"bmm shapes do not compose: {a.data.shape} @ {b.data.shape}"
         )
-    out = _make(np.matmul(a.data, b.data))
-    if _tracking(a, b):
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires:
-                _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-            if b.requires:
-                _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-        _record(out, bwd)
-    return out
+    return custom_op(np.matmul(a.data, b.data), [a, b], lambda g: [
+        np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires else None,
+        np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires else None,
+    ])
 
 
 def swap_last(a: Tensor) -> Tensor:
-    out = _make(np.swapaxes(a.data, -1, -2).copy())
-    if _tracking(a):
-
-        def bwd():
-            if out.grad is not None:
-                _accum(a, np.swapaxes(out.grad, -1, -2))
-
-        _record(out, bwd)
-    return out
+    return custom_op(
+        np.swapaxes(a.data, -1, -2).copy(), [a], lambda g: [np.swapaxes(g, -1, -2)]
+    )
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _make(a.data.reshape(shape))
-    if _tracking(a):
-
-        def bwd():
-            if out.grad is not None:
-                _accum(a, out.grad.reshape(a.data.shape))
-
-        _record(out, bwd)
-    return out
+    return custom_op(a.data.reshape(shape), [a], lambda g: [g.reshape(a.data.shape)])
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows along axis -2 (sequence axis); backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = _make(np.take(a.data, idx, axis=-2))
-    if _tracking(a):
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            full = np.zeros_like(a.data)
-            np.add.at(np.moveaxis(full, -2, 0), idx, np.moveaxis(g, -2, 0))
-            _accum(a, full)
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(np.moveaxis(full, -2, 0), idx, np.moveaxis(g, -2, 0))
+        return [full]
 
-        _record(out, bwd)
-    return out
+    return custom_op(np.take(a.data, idx, axis=-2), [a], backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     parts = list(parts)
-    out = _make(np.concatenate([p.data for p in parts], axis=axis))
-    if _tracking(*parts):
-        sizes = [p.data.shape[axis] for p in parts]
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            start = 0
-            for p, n in zip(parts, sizes):
-                if p.requires:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(start, start + n)
-                    _accum(p, g[tuple(sl)])
-                start += n
+    def backward(g):
+        return np.split(g, np.cumsum([p.data.shape[axis] for p in parts])[:-1], axis=axis)
 
-        _record(out, bwd)
-    return out
+    return custom_op(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _make(np.maximum(a.data, 0))
-    if _tracking(a):
-
-        def bwd():
-            if out.grad is not None:
-                # subgradient at 0 is 0
-                _accum(a, out.grad * (a.data > 0))
-
-        _record(out, bwd)
-    return out
+    # subgradient at 0 is 0
+    return custom_op(np.maximum(a.data, 0), [a], lambda g: [g * (a.data > 0)])
 
 
 def sigmoid_stable(x: np.ndarray) -> np.ndarray:
@@ -375,32 +274,19 @@ def sigmoid_stable(x: np.ndarray) -> np.ndarray:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = _make(np.asarray(a.data.sum(), dtype=a.data.dtype))
-    if _tracking(a):
-
-        def bwd():
-            if out.grad is not None:
-                _accum(a, np.broadcast_to(out.grad, a.data.shape).copy())
-
-        _record(out, bwd)
-    return out
+    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    return custom_op(out_data, [a], lambda g: [np.broadcast_to(g, a.data.shape).copy()])
 
 
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     n = a.data.shape[axis]
-    out = _make(a.data.mean(axis=axis, keepdims=keepdims))
-    if _tracking(a):
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+    def backward(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return [np.broadcast_to(g / n, a.data.shape).copy()]
 
-        _record(out, bwd)
-    return out
+    return custom_op(a.data.mean(axis=axis, keepdims=keepdims), [a], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +302,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     p = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = _make(p)
-    if _tracking(a):
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            _accum(a, p * (g - dot))
-
-        _record(out, bwd)
-    return out
+    return custom_op(p, [a], lambda g: [p * (g - (g * p).sum(axis=-1, keepdims=True))])
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -443,19 +318,13 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     logp = z - lse
     n = x.shape[0]
     loss = -logp[np.arange(n), labels].mean()
-    out = _make(np.asarray(loss, dtype=x.dtype))
-    if _tracking(logits):
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            probs = np.exp(logp)
-            probs[np.arange(n), labels] -= 1.0
-            _accum(logits, (g / n) * probs)
+    def backward(g):
+        probs = np.exp(logp)
+        probs[np.arange(n), labels] -= 1.0
+        return [(g / n) * probs]
 
-        _record(out, bwd)
-    return out
+    return custom_op(np.asarray(loss, dtype=x.dtype), [logits], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -490,31 +359,25 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor
         out_data += np.matmul(xp[..., j : j + length, :], kernel.data[j])
     if bias is not None:
         out_data += bias.data
-    inputs = [x, kernel] if bias is None else [x, kernel, bias]
-    out = _make(out_data)
-    if _tracking(*inputs):
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if kernel.requires:
-                gk = np.zeros_like(kernel.data)
-                gf = g.reshape(-1, d_out)
-                for j in range(k):
-                    xs = xp[..., j : j + length, :].reshape(-1, d_in)
-                    gk[j] = xs.T @ gf
-                _accum(kernel, gk)
-            if x.requires:
-                gxp = np.zeros_like(xp)
-                for j in range(k):
-                    gxp[..., j : j + length, :] += np.matmul(g, kernel.data[j].T)
-                _accum(x, gxp[..., pad : pad + length, :])
-            if bias is not None and bias.requires:
-                _accum(bias, g.reshape(-1, d_out).sum(axis=0))
+    def backward(g):
+        gx = gk = gb = None
+        if x.requires:
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[..., j : j + length, :] += np.matmul(g, kernel.data[j].T)
+            gx = gxp[..., pad : pad + length, :]
+        if kernel.requires:
+            gk = np.zeros_like(kernel.data)
+            gf = g.reshape(-1, d_out)
+            for j in range(k):
+                xs = xp[..., j : j + length, :].reshape(-1, d_in)
+                gk[j] = xs.T @ gf
+        if bias is not None and bias.requires:
+            gb = g.reshape(-1, d_out).sum(axis=0)
+        return [gx, gk, gb]
 
-        _record(out, bwd)
-    return out
+    return custom_op(out_data, [x, kernel] if bias is None else [x, kernel, bias], backward)
 
 
 def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -534,30 +397,24 @@ def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> 
         out_data += xp[..., j : j + length, :] * weights.data[j]
     if bias is not None:
         out_data += bias.data
-    inputs = [x, weights] if bias is None else [x, weights, bias]
-    out = _make(out_data)
-    if _tracking(*inputs):
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            lead = tuple(range(g.ndim - 1))
-            if weights.requires:
-                gw = np.zeros_like(weights.data)
-                for j in range(k):
-                    gw[j] = (xp[..., j : j + length, :] * g).sum(axis=lead)
-                _accum(weights, gw)
-            if x.requires:
-                gxp = np.zeros_like(xp)
-                for j in range(k):
-                    gxp[..., j : j + length, :] += g * weights.data[j]
-                _accum(x, gxp[..., pad : pad + length, :])
-            if bias is not None and bias.requires:
-                _accum(bias, g.sum(axis=lead))
+    def backward(g):
+        gx = gw = gb = None
+        lead = tuple(range(g.ndim - 1))
+        if x.requires:
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[..., j : j + length, :] += g * weights.data[j]
+            gx = gxp[..., pad : pad + length, :]
+        if weights.requires:
+            gw = np.zeros_like(weights.data)
+            for j in range(k):
+                gw[j] = (xp[..., j : j + length, :] * g).sum(axis=lead)
+        if bias is not None and bias.requires:
+            gb = g.sum(axis=lead)
+        return [gx, gw, gb]
 
-        _record(out, bwd)
-    return out
+    return custom_op(out_data, [x, weights] if bias is None else [x, weights, bias], backward)
 
 
 # ---------------------------------------------------------------------------

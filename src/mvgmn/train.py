@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Splits
+from .data import Dataset, Splits, check_number_fields
 from .errors import ConfigurationError, InputError, NumericError
 from .model import ModelState, forward_batch
 from .rng import Xoshiro256pp, derive_seed
@@ -39,6 +39,7 @@ class TrainConfig:
     protocol: str = "cross_subject"
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.lr0 <= 0:
             raise ConfigurationError("lr0 must be positive")
         if self.patience < 1:
@@ -125,6 +126,8 @@ def evaluate(
     indices = np.asarray(indices, dtype=np.intp)
     if indices.size == 0:
         raise InputError("evaluate requires a non-empty split")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch size must be at least 1, got {batch_size}")
 
     def run(batch: np.ndarray) -> int:
         logits = forward_batch(

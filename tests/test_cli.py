@@ -98,6 +98,20 @@ def test_config_file_precedence(dataset_dir, tmp_path, capsys):
     assert len((run / "trainlog.jsonl").read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("train", "model.width", 8.0), ("train", "train.batch_size", 2.0),
+     ("train", "train.lr0", "fast"), ("gen-data", "data.views", 2.0)],
+)
+def test_config_value_of_wrong_type_rejected(dataset_dir, tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    data = ["--data", str(dataset_dir / "manifest.json")] if command == "train" else []
+    code = main([command, *data, "--out", str(tmp_path / "r"), "--config", str(cfg)])
+    assert code == 1
+    assert key.partition(".")[2] in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model.banana": 1}))
@@ -140,6 +154,12 @@ def test_bench_small_sweep(tmp_path, capsys):
     slopes = _last_json(capsys)
     assert "ssm" in slopes
     assert (out / "bench.csv").exists() and (out / "bench.json").exists()
+
+
+def test_bench_lengths_must_be_integers(tmp_path, capsys):
+    code = main(["bench", "--out", str(tmp_path / "bench"), "--lengths", "abc"])
+    assert code == 1
+    assert "--lengths" in capsys.readouterr().err
 
 
 def test_ablate_fusion_ladder(dataset_dir, tmp_path, capsys):
@@ -214,6 +234,18 @@ def test_malformed_manifest_is_validation_error(dataset_dir, tmp_path, capsys, c
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(bad)])
     assert code == 1
     assert f"error: {bad}: malformed manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_eval_batch_must_be_positive(dataset_dir, tmp_path, capsys, batch):
+    cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
+                                sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
+    ckpt = tmp_path / "model.mvgc"
+    model_mod.save_checkpoint(ckpt, model_mod.init_state(cfg))
+    code = main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(dataset_dir / "manifest.json"), "--batch", batch])
+    assert code == 1
+    assert "batch size must be at least 1" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_runtime_error(tmp_path, capsys):

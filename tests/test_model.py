@@ -262,7 +262,7 @@ def test_checkpoint_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "case, match",
     [("unknown_config_key", "dropout"), ("missing_tensor", "head.bias"),
-     ("wrong_shape", "head.bias")],
+     ("wrong_shape", "head.bias"), ("float_width", "width must be an integer")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
@@ -270,13 +270,16 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     tensors = {k: t.data for k, t in state.params.items()}
     if case == "unknown_config_key":
         config["dropout"] = 0.1
+    elif case == "float_width":
+        config["width"] = float(config["width"])
     elif case == "missing_tensor":
         del tensors["head.bias"]
     else:
         tensors["head.bias"] = np.zeros(4, dtype=np.float32)
     path = tmp_path / "bad.mvgc"
     D.write_tensor_container(path, {"kind": "mvgmn-checkpoint", "config": config}, tensors)
-    with pytest.raises(FormatError, match=match):
+    error = ConfigurationError if case == "float_width" else FormatError
+    with pytest.raises(error, match=match):
         M.load_checkpoint(path)
 
 

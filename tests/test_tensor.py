@@ -172,6 +172,25 @@ def test_no_recording_outside_tape():
     assert y.grad is None
 
 
+def test_tape_records_only_ops_that_need_gradients(monkeypatch):
+    c = _rand((2, 3, 4), 61)
+    w = _param((2, 4, 5), 62)
+    with GradTape() as tape:
+        const = T.relu(T.bmm(c, _rand((2, 4, 5), 63)))
+        assert len(tape) == 0 and const.requires is False
+        y = T.bmm(c, w)
+        assert len(tape) == 1 and y.requires is True
+        loss = T.sum_all(y)
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args: calls.append(1) or matmul(*args))
+        tape.backward(loss)
+        monkeypatch.undo()
+    assert len(calls) == 1  # the constant's gradient is never computed
+    assert c.grad is None
+    np.testing.assert_allclose(w.grad, np.swapaxes(c.data, -1, -2) @ np.ones((2, 3, 5)))
+
+
 def test_nested_tapes_rejected():
     with GradTape():
         with pytest.raises(ConfigurationError):
@@ -216,6 +235,10 @@ OPS = {
     "swap_last": lambda p, x: T.swap_last(T.mul(p, x)),
     "take_rows": lambda p, x: T.take_rows(T.mul(p, x), [2, 0, 1, 0]),
     "concat": lambda p, x: T.concat([T.mul(p, 2.0), T.mul(p, x)], axis=1),
+    "add_scalar": lambda p, x: T.add(1.5, T.mul(p, x)),
+    "mean_axis_keepdims": lambda p, x: T.mean_axis(T.mul(p, x), axis=1, keepdims=True),
+    "concat_three_axis0": lambda p, x: T.concat([p, T.mul(p, x), T.mul(p, 3.0)], axis=0),
+    "bmm_constant_left": lambda p, x: T.bmm(T.reshape(x, (1, 3, 4)), T.reshape(p, (1, 4, 3))),
 }
 
 
