@@ -111,6 +111,8 @@ def run_scaling_bench(
     """Time each aggregator across the length sweep on one substrate."""
     if repeats < 5:
         raise ConfigurationError("repeats must be at least 5")
+    if views < 1:
+        raise ConfigurationError("views must be at least 1")
     lengths = sorted(lengths)
     if len(lengths) > 1 and lengths[-1] < 4 * lengths[0]:
         raise ConfigurationError(

@@ -118,7 +118,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
                    choices=sorted(model_mod.SCAN_MODES))
     p.add_argument("--blocks", type=int)
     p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--fusion", choices=("cross_attention", "mean", "linear"))
+    p.add_argument("--fusion", choices=model_mod.FUSION_MODES)
     p.add_argument("--width", type=int)
     p.add_argument("--state-dim", dest="state_dim", type=int)
 
@@ -287,7 +287,7 @@ def _cmd_ablate(args) -> int:
                 (f"aggregator={agg}", dataclasses.replace(base_cfg, aggregator=agg))
             )
     if args.ladder in ("fusion", "both"):
-        for mode in ("cross_attention", "mean", "linear"):
+        for mode in model_mod.FUSION_MODES:
             variants.append(
                 (f"fusion={mode}", dataclasses.replace(base_cfg, fusion_mode=mode))
             )

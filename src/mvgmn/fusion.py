@@ -4,7 +4,8 @@ Each frame carries one skeleton-derived token and a set of RGB patch tokens.
 The default mode projects the skeleton token to a query that attends over the
 projected patches; ablation variants are mean fusion (average of a projected
 skeleton token and the mean projected patch) and linear fusion (a single
-learned map over the concatenated skeleton token and mean patch).
+learned map over the concatenated skeleton token and mean patch). All frames
+fuse at once: patches project as one ``matmul`` of the [F, P, D_rgb] stack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .rng import Xoshiro256pp
 from .tensor import (
     Tensor,
     add,
-    bmm,
     concat,
     matmul,
     mean_axis,
@@ -90,17 +90,11 @@ def cross_attention_pool(query: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     frame's attention weights are a softmax over its P patch scores.
     """
     f, d_k = query.shape
-    scores = bmm(keys, reshape(query, (f, d_k, 1)))  # [F, P, 1]
+    scores = matmul(keys, reshape(query, (f, d_k, 1)))  # [F, P, 1]
     scores = mul(reshape(scores, (f, keys.shape[1])), 1.0 / math.sqrt(d_k))
     weights = softmax_rows(scores)  # [F, P]
-    pooled = bmm(reshape(weights, (f, 1, keys.shape[1])), values)
+    pooled = matmul(reshape(weights, (f, 1, keys.shape[1])), values)
     return reshape(pooled, (f, values.shape[2]))
-
-
-def _project_patches(patches: Tensor, weight: Tensor) -> Tensor:
-    f, p, d_in = patches.shape
-    flat = matmul(reshape(patches, (f * p, d_in)), weight)
-    return reshape(flat, (f, p, weight.shape[1]))
 
 
 def fuse_frames(sk_tokens: Tensor, patches: Tensor, params: FusionParams) -> Tensor:
@@ -114,8 +108,8 @@ def fuse_frames(sk_tokens: Tensor, patches: Tensor, params: FusionParams) -> Ten
     mode = params.fusion_mode
     if mode == "cross_attention":
         query = matmul(sk_tokens, params.w_query)
-        keys = _project_patches(patches, params.w_key)
-        values = _project_patches(patches, params.w_value)
+        keys = matmul(patches, params.w_key)
+        values = matmul(patches, params.w_value)
         return cross_attention_pool(query, keys, values)
     mean_patch = mean_axis(patches, axis=1)  # [F, D_rgb]
     if mode == "mean":

@@ -11,7 +11,8 @@ scores cannot be ranked together).
 
 Propagation is symmetric-normalized graph convolution over the self-looped
 union adjacency: relu(D^-1/2 (A + I) D^-1/2 X W), where D is the degree
-vector of A + I (Kipf & Welling, arXiv 1609.02907).
+vector of A + I (Kipf & Welling, arXiv 1609.02907). It is two ``matmul``
+ops: the [B, n, n] operators by the [B, n, D_in] features, then the weight.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .scan import project
-from .tensor import Tensor, bmm, relu
+from .tensor import Tensor, matmul, relu
 
 
 @lru_cache(maxsize=None)
@@ -105,4 +105,4 @@ def gcn_propagate(x: Tensor, norm: Tensor, weight: Tensor) -> Tensor:
     ``x`` is [B, n, D_in], ``norm`` holds each graph's [n, n] operator from
     ``normalized_operator`` as [B, n, n], and ``weight`` is [D_in, D_out].
     """
-    return relu(project(bmm(norm, x), weight))
+    return relu(matmul(matmul(norm, x), weight))

@@ -39,7 +39,6 @@ from .scan import SCAN_MODES, DirectionParams, MambaLayerParams, SsmParams
 from .tensor import (
     Tensor,
     add,
-    bmm,
     concat,
     matmul,
     mean_axis,
@@ -369,13 +368,12 @@ def _self_attention(state: ModelState, unit: int, x: Tensor) -> Tensor:
     p = state.params
     pre = f"unit{unit:02d}.attn"
     d = state.config.width
-    q = scan_mod.project(x, p[f"{pre}.w_query"])
-    q = mul(q, 1.0 / math.sqrt(d))
-    k = scan_mod.project(x, p[f"{pre}.w_key"])
-    v = scan_mod.project(x, p[f"{pre}.w_value"])
-    weights = softmax_rows(bmm(q, swap_last(k)))  # [B, n, n]
-    ctx = bmm(weights, v)
-    return add(x, scan_mod.project(ctx, p[f"{pre}.w_out"]))
+    q = mul(matmul(x, p[f"{pre}.w_query"]), 1.0 / math.sqrt(d))
+    k = matmul(x, p[f"{pre}.w_key"])
+    v = matmul(x, p[f"{pre}.w_value"])
+    weights = softmax_rows(matmul(q, swap_last(k)))  # [B, n, n]
+    ctx = matmul(weights, v)
+    return add(x, matmul(ctx, p[f"{pre}.w_out"]))
 
 
 def _graph_stage(state: ModelState, unit: int, x: Tensor, edge_kind: str) -> Tensor:
@@ -405,7 +403,7 @@ def _mix(state: ModelState, unit: int, direction: str, x: Tensor) -> Tensor:
     if mixer == "attention":
         return _self_attention(state, unit, x)
     p = state.params
-    return scan_mod.project(x, p[f"unit{unit:02d}.mix.weight"], p[f"unit{unit:02d}.mix.bias"])
+    return add(matmul(x, p[f"unit{unit:02d}.mix.weight"]), p[f"unit{unit:02d}.mix.bias"])
 
 
 def _apply_unit(state: ModelState, unit: int, direction: str, x: Tensor) -> Tensor:

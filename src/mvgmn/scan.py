@@ -4,7 +4,8 @@ A grid of per-view per-time tokens is flattened in one of four orders (view
 index fastest, time index fastest, and their exact reversals), embedded by a
 conv+ReLU stage, passed through a selective-scan layer with an additive
 residual, and restored to canonical grid order. Directions compose
-sequentially: each scan consumes the previous one's output.
+sequentially: each scan consumes the previous one's output. Sequences are
+batched [B, L, D]; each projection is a ``matmul`` by a weight plus a bias.
 
 Canonical vertex order is row-major (view, time): vertex (v, t) <-> v*T + t.
 """
@@ -26,7 +27,6 @@ from .tensor import (
     custom_op,
     matmul,
     relu,
-    reshape,
     sigmoid_stable,
     take_rows,
 )
@@ -114,13 +114,12 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
     h = decay * h + drive starting from h = 0, and readout
     y_t = <x_t . c_proj, h_t> per channel plus skip_gain * x_t.
 
-    Accepts [L, D] or [B, L, D]. Only when a tape records the op does it
-    store the [B, L, D, N] state history that the hand-derived backward reads.
+    Takes [B, L, D]. Only when a tape records the op does it store the
+    [B, L, D, N] state history that the hand-derived backward reads.
     """
-    squeeze = x.data.ndim == 2
-    xb = x.data[np.newaxis] if squeeze else x.data
+    xb = x.data
     if xb.ndim != 3:
-        raise DimensionError(f"selective_scan expects [L, D] or [B, L, D], got {x.shape}")
+        raise DimensionError(f"selective_scan expects [B, L, D], got {x.shape}")
     batch, length, d = xb.shape
     if length < 1:
         raise InputError("selective_scan requires at least one step")
@@ -168,8 +167,7 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
         yt[t] += skip * xt[t]
     y = yt.transpose(1, 0, 2)
 
-    def backward(gy_in: np.ndarray):
-        gy = gy_in[np.newaxis] if squeeze else gy_in  # [B, L, D]
+    def backward(gy: np.ndarray):
         gx = np.zeros_like(xb)
         g_a = np.zeros_like(a_neg)
         g_bseq = np.zeros_like(b_seq)
@@ -205,12 +203,9 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
         g_bproj = np.einsum("bld,bln->dn", xb, g_bseq)
         g_cproj = np.einsum("bld,bln->dn", xb, g_cseq)
         g_alog = g_a * a_neg  # dA/da_log = -exp(a_log) = A
-        if squeeze:
-            gx = gx[0]
         return [gx, g_alog, g_bproj, g_cproj, g_dtw, g_dtb, g_skip]
 
-    out = y[0] if squeeze else y
-    return custom_op(out, [x, *ssm.tensors()], backward)
+    return custom_op(y, [x, *ssm.tensors()], backward)
 
 
 def selective_scan_reference(x: np.ndarray, ssm: SsmParams) -> np.ndarray:
@@ -277,17 +272,6 @@ class MambaLayerParams:
         ]
 
 
-def project(seq: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Apply a [D_in, D_out] linear map along the last axis of [..., L, D_in]."""
-    shape = seq.shape
-    flat = reshape(seq, (-1, shape[-1]))
-    out = matmul(flat, weight)
-    out = reshape(out, shape[:-1] + (weight.shape[1],))
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
 def pre_conv(seq: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Sequence embedding stage: length-preserving conv followed by ReLU."""
     return relu(conv1d_same(seq, kernel, bias))
@@ -302,11 +286,11 @@ def mamba_layer(seq: Tensor, params: MambaLayerParams) -> Tensor:
             f"layer widths do not compose: input {seq.shape}, "
             f"w_in {params.w_in.shape}, w_out {params.w_out.shape}"
         )
-    inner = project(seq, params.w_in, params.b_in)
+    inner = add(matmul(seq, params.w_in), params.b_in)
     conv = conv1d_depthwise(inner, params.conv_weight, params.conv_bias)
     scanned = selective_scan(conv, params.ssm)
-    residual = project(seq, params.w_res, params.b_res)
-    return project(add(scanned, residual), params.w_out, params.b_out)
+    residual = add(matmul(seq, params.w_res), params.b_res)
+    return add(matmul(add(scanned, residual), params.w_out), params.b_out)
 
 
 @dataclass

@@ -13,6 +13,9 @@ accumulate additively across fan-out.
 
 Outside a tape context operations run plain numpy with no recording, which is
 the inference/benchmark fast path.
+
+``matmul`` is the one matrix product: a 2-D weight along the last axis of any
+stack, or equal-rank stacks pairwise.
 """
 
 from __future__ import annotations
@@ -200,35 +203,36 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product; batched stacks go through bmm."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
-        )
-    return custom_op(a.data @ b.data, [a, b], lambda g: [
-        g @ b.data.T if a.requires else None,
-        a.data.T @ g if b.requires else None,
-    ])
+    """The one matrix product: a weight over a stack, or a stack by a stack.
 
+    A 2-D ``b`` [K, N] is a weight applied along the last axis of any
+    ``a`` [..., K]; it runs, and its gradient is taken, as one product over
+    the flattened [-1, K] rows. A ``b`` [..., K, N] of higher rank pairs with
+    an ``a`` [..., M, K] of equal rank and equal leading axes.
+    """
+    ad, bd = a.data, b.data
+    stack = bd.ndim > 2
+    if ad.ndim < 2 or bd.ndim < 2 or (stack and ad.ndim != bd.ndim):
+        raise DimensionError(
+            f"matmul expects [..., K] @ [K, N] or equal-rank stacks, got {ad.shape} @ {bd.shape}"
+        )
+    if ad.shape[-1] != bd.shape[-2] or (stack and ad.shape[:-2] != bd.shape[:-2]):
+        raise DimensionError(f"matmul shapes do not compose: {ad.shape} @ {bd.shape}")
+    if stack:
+        return custom_op(np.matmul(ad, bd), [a, b], lambda g: [
+            np.matmul(g, np.swapaxes(bd, -1, -2)) if a.requires else None,
+            np.matmul(np.swapaxes(ad, -1, -2), g) if b.requires else None,
+        ])
+    rows = ad.reshape(-1, ad.shape[-1])
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over matching leading axes."""
-    if a.data.ndim < 3 or a.data.ndim != b.data.ndim:
-        raise DimensionError(
-            f"bmm expects equal-rank stacks of matrices, got {a.data.shape} @ {b.data.shape}"
-        )
-    if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
-            f"bmm shapes do not compose: {a.data.shape} @ {b.data.shape}"
-        )
-    return custom_op(np.matmul(a.data, b.data), [a, b], lambda g: [
-        np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires else None,
-        np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires else None,
-    ])
+    def backward(g):
+        g = g.reshape(-1, bd.shape[1])
+        return [
+            (g @ bd.T).reshape(ad.shape) if a.requires else None,
+            rows.T @ g if b.requires else None,
+        ]
+
+    return custom_op((rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), [a, b], backward)
 
 
 def swap_last(a: Tensor) -> Tensor:
@@ -438,12 +442,7 @@ def check_gradients(
         if p.data.dtype != np.float64:
             raise ConfigurationError("check_gradients requires float64 parameters")
     with GradTape() as tape:
-        loss = loss_fn()
-        if loss.data.size != 1:
-            raise DimensionError("check_gradients requires a scalar loss")
-        if not np.all(np.isfinite(loss.data)):
-            raise NumericError("loss is non-finite")
-        tape.backward(loss)
+        tape.backward(loss_fn())
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
     ]

@@ -174,8 +174,6 @@ def train_loop(
                     logits = forward_batch(state, dataset.rgb[batch], dataset.sk[batch])
                     loss = softmax_cross_entropy(logits, dataset.labels[batch])
                     loss_value = float(loss.data)
-                    if not np.isfinite(loss_value):
-                        raise NumericError("loss is non-finite")
                     tape.backward(loss)
             except NumericError as err:
                 raise NumericError(

@@ -91,7 +91,7 @@ def test_criterion_2_scan_kernel_against_recurrence_oracle():
             skip_gain=Tensor(rng.standard_normal(d)),
         )
         x = rng.standard_normal((length, d))
-        fast = S.selective_scan(Tensor(x), ssm).data
+        fast = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
         slow = S.selective_scan_reference(x, ssm)
         worst = max(worst, float(np.abs(fast - slow).max()))
 
@@ -107,7 +107,7 @@ def test_criterion_2_scan_kernel_against_recurrence_oracle():
     )
     x = rng.standard_normal((5, d))
     zero_dt_err = float(
-        np.abs(S.selective_scan(Tensor(x), ssm).data - ssm.skip_gain.data * x).max()
+        np.abs(S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0] - ssm.skip_gain.data * x).max()
     )
     ssm_one = S.SsmParams(
         a_log=Tensor(rng.standard_normal((d, 2))),
@@ -121,7 +121,9 @@ def test_criterion_2_scan_kernel_against_recurrence_oracle():
     dt = np.logaddexp(0, x1[0] @ ssm_one.dt_weight.data[:, 0] + ssm_one.dt_bias.data[0])
     drive = dt * np.outer(x1[0], x1[0] @ ssm_one.b_proj.data)
     expect = drive @ (x1[0] @ ssm_one.c_proj.data) + ssm_one.skip_gain.data * x1[0]
-    one_step_err = float(np.abs(S.selective_scan(Tensor(x1), ssm_one).data[0] - expect).max())
+    one_step_err = float(
+        np.abs(S.selective_scan(Tensor(x1[np.newaxis]), ssm_one).data[0][0] - expect).max()
+    )
 
     elapsed = time.monotonic() - started
     ok = worst < 1e-6 and zero_dt_err < 1e-12 and one_step_err < 1e-12 and elapsed < 30

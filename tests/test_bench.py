@@ -46,6 +46,8 @@ def test_run_scaling_bench_validation():
         B.run_scaling_bench(lengths=(256, 512), repeats=5)
     with pytest.raises(ConfigurationError):
         B.run_scaling_bench(lengths=(250, 1000), repeats=5)  # not divisible by views
+    with pytest.raises(ConfigurationError):
+        B.run_scaling_bench(lengths=(8, 16, 32, 64), repeats=5, views=0)
 
 
 def test_small_sweep_records_and_outputs(tmp_path):

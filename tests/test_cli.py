@@ -162,6 +162,15 @@ def test_bench_lengths_must_be_integers(tmp_path, capsys):
     assert "--lengths" in capsys.readouterr().err
 
 
+def test_bench_views_must_be_positive(tmp_path, capsys):
+    code = main([
+        "bench", "--out", str(tmp_path / "bench"), "--aggregators", "ssm",
+        "--lengths", "8,16,32,64", "--views", "0",
+    ])
+    assert code == 1
+    assert "views" in capsys.readouterr().err
+
+
 def test_ablate_fusion_ladder(dataset_dir, tmp_path, capsys):
     out = tmp_path / "ablate"
     code = main([

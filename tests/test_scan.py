@@ -168,7 +168,7 @@ def test_scan_zero_step_size_reduces_to_skip():
     ssm.dt_bias.data[:] = -1e9  # softplus underflows to exactly 0
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, d))
-    y = S.selective_scan(Tensor(x), ssm).data
+    y = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
     np.testing.assert_allclose(y, ssm.skip_gain.data * x, atol=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_scan_hand_rolled_recurrence():
         dt_bias=Tensor([0.0]),  # softplus(0) = ln 2
         skip_gain=Tensor([0.0]),
     )
-    y = S.selective_scan(Tensor([[1.0], [1.0], [1.0]]), ssm).data
+    y = S.selective_scan(Tensor([[[1.0], [1.0], [1.0]]]), ssm).data[0]
     np.testing.assert_allclose(y[:, 0], [0.6931, 1.0397, 1.2129], atol=1e-3)
 
 
@@ -192,7 +192,7 @@ def test_scan_single_step_unrolls():
     ssm = make_ssm(d, n, seed=7, requires=False)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, d))
-    y = S.selective_scan(Tensor(x), ssm).data
+    y = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
     dt = np.logaddexp(0, x[0] @ ssm.dt_weight.data[:, 0] + ssm.dt_bias.data[0])
     bvec = x[0] @ ssm.b_proj.data
     cvec = x[0] @ ssm.c_proj.data
@@ -209,7 +209,7 @@ def test_scan_matches_reference_oracle(seed):
     n = int(rng.integers(1, 9))
     ssm = make_ssm(d, n, seed=seed + 100, requires=False)
     x = rng.standard_normal((length, d))
-    fast = S.selective_scan(Tensor(x), ssm).data
+    fast = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
     slow = S.selective_scan_reference(x, ssm)
     np.testing.assert_allclose(fast, slow, atol=1e-6, rtol=1e-9)
 
@@ -220,14 +220,16 @@ def test_scan_batched_matches_per_sample():
     xb = rng.standard_normal((3, 10, 4))
     full = S.selective_scan(Tensor(xb), ssm).data
     for i in range(3):
-        single = S.selective_scan(Tensor(xb[i]), ssm).data
+        single = S.selective_scan(Tensor(xb[i][np.newaxis]), ssm).data[0]
         np.testing.assert_allclose(full[i], single, atol=1e-12)
 
 
 def test_scan_gradients_match_finite_differences():
     d, n, length = 3, 4, 7
     ssm = make_ssm(d, n, seed=11)
-    x = Tensor(np.random.default_rng(12).standard_normal((length, d)), requires_grad=True)
+    x = Tensor(
+        np.random.default_rng(12).standard_normal((length, d))[np.newaxis], requires_grad=True
+    )
 
     def loss():
         out = S.selective_scan(x, ssm)
@@ -266,7 +268,7 @@ def test_untaped_scan_stores_no_state_history():
 def test_scan_rejects_empty_sequence():
     ssm = make_ssm(2, 2, requires=False)
     with pytest.raises(InputError):
-        S.selective_scan(Tensor(np.zeros((0, 2))), ssm)
+        S.selective_scan(Tensor(np.zeros((1, 0, 2))), ssm)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +284,15 @@ def test_mamba_layer_residual_identity():
     layer.w_res.data[:] = np.eye(d)
     layer.w_out.data[:] = np.eye(d)
     x = np.random.default_rng(6).standard_normal((5, d))
-    out = S.mamba_layer(Tensor(x), layer).data
+    out = S.mamba_layer(Tensor(x[np.newaxis]), layer).data[0]
     np.testing.assert_allclose(out, x, atol=1e-12)
 
 
 def test_mamba_layer_shape_contract():
     for length, d in [(1, 2), (9, 5), (4, 3)]:
         layer = make_layer(d, 2 * d, 4, seed=length, requires=False)
-        x = Tensor(np.random.default_rng(length).standard_normal((length, d)))
-        assert S.mamba_layer(x, layer).shape == (length, d)
+        x = Tensor(np.random.default_rng(length).standard_normal((length, d))[np.newaxis])
+        assert S.mamba_layer(x, layer).data[0].shape == (length, d)
 
 
 def test_mamba_layer_width_mismatch():
@@ -302,7 +304,7 @@ def test_mamba_layer_width_mismatch():
 def test_mamba_layer_gradients():
     d = 3
     layer = make_layer(d, 2 * d, 3, seed=31)
-    x = Tensor(np.random.default_rng(32).standard_normal((6, d)), requires_grad=True)
+    x = Tensor(np.random.default_rng(32).standard_normal((6, d))[np.newaxis], requires_grad=True)
 
     def loss():
         out = S.mamba_layer(x, layer)
@@ -326,10 +328,14 @@ def _direction_params(d, seed, requires=False):
 
 
 def scan_block(rows, mode, layers, v, t):
-    """The mode's directions applied in sequence, as a model unit cycle does."""
+    """The mode's directions applied in sequence, as a model unit cycle does.
+
+    ``rows`` holds one sample's canonical rows; they run as a batch of one.
+    """
+    x = Tensor(rows.data[np.newaxis])
     for order in S.SCAN_MODES[mode]:
-        rows = S.apply_direction(rows, order, layers[order], v, t)
-    return rows
+        x = S.apply_direction(x, order, layers[order], v, t)
+    return Tensor(x.data[0])
 
 
 def test_block_degenerate_single_vertex():
@@ -374,7 +380,7 @@ def test_backward_scan_equals_reverse_forward_reverse():
     # forward-order sequence, scan it with the same weights, reverse back.
     d, v, t = 3, 3, 4
     params = _direction_params(d, 13)
-    x = make_rows(v, t, d, seed=14)
+    x = Tensor(make_rows(v, t, d, seed=14).data[np.newaxis])
     direct = S.apply_direction(x, "view_backward", params, v, t).data
 
     seq_fwd = T.take_rows(x, S.scan_permutation("view_forward", v, t))

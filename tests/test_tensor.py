@@ -55,6 +55,23 @@ def test_matmul_shape_mismatch_raises():
         T.matmul(_rand((2, 3), 0), _rand((4, 2), 1))
     with pytest.raises(DimensionError):
         T.matmul(_rand((2, 3), 0), _rand((3, 2, 2), 1))
+    with pytest.raises(DimensionError):
+        T.matmul(_rand((2, 3, 4), 0), _rand((5, 2), 1))
+    with pytest.raises(DimensionError):
+        T.matmul(_rand((2, 3, 4), 0), _rand((3, 4, 2), 1))
+
+
+def test_matmul_applies_a_weight_across_a_stack():
+    x = _param((2, 5, 4), 71)
+    w = _param((4, 3), 72)
+    with GradTape() as tape:
+        y = T.matmul(x, w)
+        assert len(tape) == 1
+        tape.backward(T.sum_all(y))
+    rows = x.data.reshape(-1, 4)
+    expect = (rows @ w.data).reshape(2, 5, 3)
+    assert y.data.shape == expect.shape and y.data.tobytes() == expect.tobytes()
+    assert w.grad.tobytes() == (rows.T @ np.ones((10, 3))).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +193,9 @@ def test_tape_records_only_ops_that_need_gradients(monkeypatch):
     c = _rand((2, 3, 4), 61)
     w = _param((2, 4, 5), 62)
     with GradTape() as tape:
-        const = T.relu(T.bmm(c, _rand((2, 4, 5), 63)))
+        const = T.relu(T.matmul(c, _rand((2, 4, 5), 63)))
         assert len(tape) == 0 and const.requires is False
-        y = T.bmm(c, w)
+        y = T.matmul(c, w)
         assert len(tape) == 1 and y.requires is True
         loss = T.sum_all(y)
         calls = []
@@ -206,6 +223,15 @@ def test_finite_check_raises_and_can_be_disabled():
         with finite_checks(False):
             out = T.mul(big, 1e308)
             assert np.isinf(out.data[0])
+
+
+def test_check_gradients_rejects_non_scalar_and_non_finite_loss():
+    w = _param((2, 2), 9)
+    with pytest.raises(DimensionError):
+        check_gradients(lambda: T.mul(w, 2.0), [w])
+    with finite_checks(False), pytest.raises(NumericError):
+        check_gradients(lambda: T.mul(T.sum_all(w), np.inf), [w])
+    assert T._active_tape is None
 
 
 def test_check_gradients_requires_float64():
@@ -238,7 +264,9 @@ OPS = {
     "add_scalar": lambda p, x: T.add(1.5, T.mul(p, x)),
     "mean_axis_keepdims": lambda p, x: T.mean_axis(T.mul(p, x), axis=1, keepdims=True),
     "concat_three_axis0": lambda p, x: T.concat([p, T.mul(p, x), T.mul(p, 3.0)], axis=0),
-    "bmm_constant_left": lambda p, x: T.bmm(T.reshape(x, (1, 3, 4)), T.reshape(p, (1, 4, 3))),
+    "matmul_stack_constant_left": lambda p, x: T.matmul(
+        T.reshape(x, (1, 3, 4)), T.reshape(p, (1, 4, 3))
+    ),
 }
 
 
@@ -256,12 +284,15 @@ def test_op_gradients_match_finite_differences(name):
     assert check_gradients(loss, [p], h=1e-5) < 1e-4
 
 
-def test_bmm_gradients():
+@pytest.mark.parametrize(
+    "b_shape", [(2, 4, 5), (4, 3)], ids=["stack_by_stack", "weight_over_stack"]
+)
+def test_matmul_gradients(b_shape):
     a = _param((2, 3, 4), 21)
-    b = _param((2, 4, 5), 22)
+    b = _param(b_shape, 22)
 
     def loss():
-        return T.sum_all(T.bmm(a, b))
+        return T.sum_all(T.matmul(a, b))
 
     assert check_gradients(loss, [a, b], h=1e-5) < 1e-4
 
