@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .model import ModelConfig, ModelState, forward_grid_batch, init_state
 from .rng import Xoshiro256pp, derive_seed
-from .tensor import Tensor, finite_checks
+from .tensor import Tensor
 
 DEFAULT_LENGTHS = (256, 512, 1024, 2048, 4096, 8192, 16384)
 _BENCH_TAG = 0x42454E43  # "BENC"
@@ -41,14 +42,22 @@ class BenchRecord:
     warmup: int
 
 
-def pin_to_one_core() -> bool:
-    """Restrict the process to a single logical core, if supported."""
+@contextmanager
+def pin_to_one_core():
+    """Restrict the process to a single logical core while inside, if supported.
+
+    On exit the previous affinity is restored.
+    """
     try:
-        cores = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cores[0]})
-        return True
+        cores = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cores)})
     except (AttributeError, OSError):
-        return False
+        cores = None
+    try:
+        yield
+    finally:
+        if cores is not None:
+            os.sched_setaffinity(0, cores)
 
 
 def _bench_state(aggregator: str, length: int, width: int, views: int, seed: int) -> ModelState:
@@ -126,8 +135,7 @@ def run_scaling_bench(
             grid = Tensor(
                 rng.normals(length * width).reshape(1, length, width).astype(np.float32)
             )
-            with finite_checks(False):
-                median = _timed_forward(state, grid, repeats, warmup)
+            median = _timed_forward(state, grid, repeats, warmup)
             records.append(
                 BenchRecord(
                     aggregator=aggregator,

@@ -70,15 +70,17 @@ def _load_config_file(path) -> dict[str, object]:
     return raw
 
 
-def _merged(args, flag_map: dict[str, str]) -> dict[str, object]:
-    """defaults < config file < flags, as a flat dotted-key dict."""
+def _merged(args) -> dict[str, object]:
+    """defaults < config file < flags, as a flat dotted-key dict.
+
+    A config flag's argparse ``dest`` is its dotted key.
+    """
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
-    for attr, dotted in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[dotted] = value
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
+            merged[key] = value
     return merged
 
 
@@ -93,41 +95,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-_MODEL_FLAGS = {
-    "aggregator": "model.aggregator",
-    "scan_mode": "model.scan_mode",
-    "blocks": "model.n_blocks",
-    "knn_k": "model.knn_k",
-    "fusion": "model.fusion_mode",
-    "width": "model.width",
-    "state_dim": "model.state_dim",
-}
-
-_TRAIN_FLAGS = {
-    "batch": "train.batch_size",
-    "epochs": "train.max_epochs",
-    "lr": "train.lr0",
-    "seed": "train.seed",
-    "protocol": "train.protocol",
-}
-
-
 def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--aggregator", choices=model_mod.AGGREGATORS)
-    p.add_argument("--scan-mode", dest="scan_mode",
+    p.add_argument("--aggregator", dest="model.aggregator", choices=model_mod.AGGREGATORS)
+    p.add_argument("--scan-mode", dest="model.scan_mode",
                    choices=sorted(model_mod.SCAN_MODES))
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--fusion", choices=model_mod.FUSION_MODES)
-    p.add_argument("--width", type=int)
-    p.add_argument("--state-dim", dest="state_dim", type=int)
+    p.add_argument("--blocks", dest="model.n_blocks", type=int)
+    p.add_argument("--knn-k", dest="model.knn_k", type=int)
+    p.add_argument("--fusion", dest="model.fusion_mode", choices=model_mod.FUSION_MODES)
+    p.add_argument("--width", dest="model.width", type=int)
+    p.add_argument("--state-dim", dest="model.state_dim", type=int)
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--protocol", choices=data_mod.PROTOCOLS)
+    p.add_argument("--batch", dest="train.batch_size", type=int)
+    p.add_argument("--epochs", dest="train.max_epochs", type=int)
+    p.add_argument("--lr", dest="train.lr0", type=float)
+    p.add_argument("--protocol", dest="train.protocol", choices=data_mod.PROTOCOLS)
 
 
 def build_parser() -> _Parser:
@@ -137,20 +120,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--views", type=int)
-    p.add_argument("--time-steps", dest="time_steps", type=int)
-    p.add_argument("--subjects", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--patches", type=int)
+    p.add_argument("--seed", dest="data.seed", type=int)
+    p.add_argument("--classes", dest="data.n_classes", type=int)
+    p.add_argument("--samples-per-class", dest="data.samples_per_class", type=int)
+    p.add_argument("--views", dest="data.views", type=int)
+    p.add_argument("--time-steps", dest="data.time_steps", type=int)
+    p.add_argument("--subjects", dest="data.n_subjects", type=int)
+    p.add_argument("--sigma", dest="data.noise_sigma", type=float)
+    p.add_argument("--patches", dest="data.patches", type=int)
 
     p = sub.add_parser("train", help="train on a dataset and write a checkpoint")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
     _add_model_flags(p)
     _add_train_flags(p)
 
@@ -165,7 +148,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--ladder", choices=("aggregator", "fusion", "both"), default="both")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
     _add_model_flags(p)
     _add_train_flags(p)
 
@@ -184,7 +167,7 @@ def build_parser() -> _Parser:
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
     _add_model_flags(p)
     return parser
 
@@ -195,17 +178,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_data(args) -> int:
-    flag_map = {
-        "seed": "data.seed",
-        "classes": "data.n_classes",
-        "samples_per_class": "data.samples_per_class",
-        "views": "data.views",
-        "time_steps": "data.time_steps",
-        "subjects": "data.n_subjects",
-        "sigma": "data.noise_sigma",
-        "patches": "data.patches",
-    }
-    spec = data_mod.SyntheticSpec(**_scoped(_merged(args, flag_map), "data"))
+    spec = data_mod.SyntheticSpec(**_scoped(_merged(args), "data"))
     out = _out_dir(args)
     manifest = data_mod.generate_synthetic(spec, out)
     digest = data_mod.dataset_digest(out)
@@ -215,7 +188,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _prepare_training(args):
-    merged = _merged(args, {**_MODEL_FLAGS, **_TRAIN_FLAGS, "seed": "train.seed"})
+    merged = _merged(args)
     dataset = data_mod.load_dataset(args.data)
     train_cfg = train_mod.TrainConfig(**_scoped(merged, "train"))
     model_cfg = model_mod.config_for_dataset(dataset.spec, **_scoped(merged, "model"))
@@ -323,15 +296,15 @@ def _cmd_bench(args) -> int:
         raise ConfigurationError(
             f"--lengths must be comma-separated integers, got {args.lengths!r}"
         ) from None
-    bench_mod.pin_to_one_core()
-    records = bench_mod.run_scaling_bench(
-        aggregators=aggregators,
-        lengths=lengths,
-        width=args.width,
-        repeats=args.repeats,
-        views=args.views,
-        seed=args.seed,
-    )
+    with bench_mod.pin_to_one_core():
+        records = bench_mod.run_scaling_bench(
+            aggregators=aggregators,
+            lengths=lengths,
+            width=args.width,
+            repeats=args.repeats,
+            views=args.views,
+            seed=args.seed,
+        )
     bench_mod.write_csv(records, out / "bench.csv")
     bench_mod.write_summary(records, out / "bench.json")
     summary = bench_mod.summarize(records)
@@ -344,7 +317,7 @@ def _cmd_inspect_graph(args) -> int:
     if args.checkpoint:
         state = model_mod.load_checkpoint(args.checkpoint)
     else:
-        merged = _merged(args, {**_MODEL_FLAGS, "seed": "train.seed"})
+        merged = _merged(args)
         cfg = model_mod.config_for_dataset(dataset.spec, **_scoped(merged, "model"))
         state = model_mod.init_state(cfg, seed=merged.get("train.seed", 0))
     try:

@@ -11,7 +11,6 @@ fuse at once: patches project as one ``matmul`` of the [F, P, D_rgb] stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +27,7 @@ from .tensor import (
     softmax_rows,
 )
 
-# fusion mode -> the FusionParams weights it reads
-_MODE_WEIGHTS = {
-    "cross_attention": ("w_query", "w_key", "w_value"),
-    "mean": ("w_skeleton", "w_value"),
-    "linear": ("w_linear",),
-}
-FUSION_MODES = tuple(_MODE_WEIGHTS)
-
-
-@dataclass
-class FusionParams:
-    """Trainable fusion weights; ``fusion_mode`` decides which must be set."""
-
-    w_query: Tensor | None = None  # [D_sk, d_k], cross_attention mode
-    w_key: Tensor | None = None  # [D_rgb, d_k], cross_attention mode
-    w_value: Tensor | None = None  # [D_rgb, D], cross_attention and mean modes
-    fusion_mode: str = "cross_attention"
-    w_skeleton: Tensor | None = None  # [D_sk, D], mean mode
-    w_linear: Tensor | None = None  # [D_sk + D_rgb, D], linear mode
-
-    def __post_init__(self):
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigurationError(
-                f"unknown fusion mode {self.fusion_mode!r}; expected one of {FUSION_MODES}"
-            )
-        missing = [n for n in _MODE_WEIGHTS[self.fusion_mode] if getattr(self, n) is None]
-        if missing:
-            raise ConfigurationError(f"{self.fusion_mode} fusion requires {missing}")
+FUSION_MODES = ("cross_attention", "mean", "linear")
 
 
 def sample_segments(length: int, num_segments: int, rng: Xoshiro256pp) -> list[int]:
@@ -97,24 +69,32 @@ def cross_attention_pool(query: Tensor, keys: Tensor, values: Tensor) -> Tensor:
     return reshape(pooled, (f, values.shape[2]))
 
 
-def fuse_frames(sk_tokens: Tensor, patches: Tensor, params: FusionParams) -> Tensor:
-    """Fuse a batch of frames: sk_tokens [F, D_sk], patches [F, P, D_rgb] -> [F, D]."""
+def fuse_frames(sk_tokens: Tensor, patches: Tensor, mode: str, p: dict[str, Tensor]) -> Tensor:
+    """Fuse a batch of frames: sk_tokens [F, D_sk], patches [F, P, D_rgb] -> [F, D].
+
+    ``p`` holds the weights the mode reads: ``cross_attention`` reads
+    ``w_query`` [D_sk, d_k], ``w_key`` [D_rgb, d_k] and ``w_value``
+    [D_rgb, D]; ``mean`` reads ``w_skeleton`` [D_sk, D] and ``w_value``;
+    ``linear`` reads ``w_linear`` [D_sk + D_rgb, D].
+    """
+    if mode not in FUSION_MODES:
+        raise ConfigurationError(
+            f"unknown fusion mode {mode!r}; expected one of {FUSION_MODES}"
+        )
     if sk_tokens.shape[0] != patches.shape[0]:
         raise DimensionError(
             f"frame counts disagree: {sk_tokens.shape} vs {patches.shape}"
         )
     if patches.shape[1] < 1:
         raise InputError("each frame needs at least one RGB patch")
-    mode = params.fusion_mode
     if mode == "cross_attention":
-        query = matmul(sk_tokens, params.w_query)
-        keys = matmul(patches, params.w_key)
-        values = matmul(patches, params.w_value)
+        query = matmul(sk_tokens, p["w_query"])
+        keys = matmul(patches, p["w_key"])
+        values = matmul(patches, p["w_value"])
         return cross_attention_pool(query, keys, values)
     mean_patch = mean_axis(patches, axis=1)  # [F, D_rgb]
     if mode == "mean":
-        projected_sk = matmul(sk_tokens, params.w_skeleton)
-        projected_patch = matmul(mean_patch, params.w_value)
+        projected_sk = matmul(sk_tokens, p["w_skeleton"])
+        projected_patch = matmul(mean_patch, p["w_value"])
         return mul(add(projected_sk, projected_patch), 0.5)
-    return matmul(concat([sk_tokens, mean_patch], axis=1), params.w_linear)
-
+    return matmul(concat([sk_tokens, mean_patch], axis=1), p["w_linear"])

@@ -20,7 +20,7 @@ rule-only units reuse one normalized operator cached per grid shape.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,14 +28,9 @@ from . import graph as graph_mod
 from . import scan as scan_mod
 from .data import SyntheticSpec, check_number_fields, read_tensor_container, write_tensor_container
 from .errors import ConfigurationError, FormatError, InputError
-from .fusion import (
-    FUSION_MODES,
-    FusionParams,
-    fuse_frames,
-    skeleton_alignment_indices,
-)
+from .fusion import FUSION_MODES, fuse_frames, skeleton_alignment_indices
 from .rng import Xoshiro256pp, derive_seed
-from .scan import SCAN_MODES, DirectionParams, MambaLayerParams, SsmParams
+from .scan import SCAN_MODES
 from .tensor import (
     Tensor,
     add,
@@ -44,6 +39,7 @@ from .tensor import (
     mean_axis,
     mul,
     reshape,
+    scope,
     softmax_rows,
     swap_last,
 )
@@ -254,7 +250,11 @@ def _init_scan_unit(ini: _Init, prefix: str, cfg: ModelConfig) -> None:
 
 
 def _populate(ini: _Init, cfg: ModelConfig) -> dict:
-    """Add every tensor for the config's aggregator; returns ``ini.params``."""
+    """Add every tensor for the config's aggregator; returns ``ini.params``.
+
+    This is the one declaration of parameter names, shapes and init order.
+    Each layer reads its tensors by these names, cut out by ``tensor.scope``.
+    """
     d = cfg.width
 
     if cfg.fusion_mode == "cross_attention":
@@ -293,30 +293,6 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelSta
     """Create all trainable tensors for the config's aggregator."""
     params = _populate(_Init(Xoshiro256pp(derive_seed(seed, _INIT_TAG)), dtype), config)
     return ModelState(config=config, params=params)
-
-
-# ---------------------------------------------------------------------------
-# structured parameter views
-# ---------------------------------------------------------------------------
-
-
-def fusion_params(state: ModelState) -> FusionParams:
-    p = state.params
-    weights = {k.removeprefix("fusion."): t for k, t in p.items() if k.startswith("fusion.")}
-    return FusionParams(fusion_mode=state.config.fusion_mode, **weights)
-
-
-def _direction_params(state: ModelState, unit: int) -> DirectionParams:
-    """A scan unit's weights; each field is read from the parameter of its path."""
-    p = state.params
-
-    def fill(cls, prefix, **nested):
-        named = {f.name: p[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in nested}
-        return cls(**named, **nested)
-
-    pre = f"unit{unit:02d}.scan"
-    ssm = fill(SsmParams, f"{pre}.mamba.ssm")
-    return fill(DirectionParams, pre, mamba=fill(MambaLayerParams, f"{pre}.mamba", ssm=ssm))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +335,8 @@ def fuse_batch(
     fused = fuse_frames(
         Tensor(sk_aligned.reshape(frames, cfg.sk_dim)),
         Tensor(rgb.reshape(frames, cfg.patches, cfg.rgb_dim)),
-        fusion_params(state),
+        cfg.fusion_mode,
+        scope(state.params, "fusion"),
     )
     return reshape(fused, (b, v * t, cfg.width))
 
@@ -397,9 +374,8 @@ def _mix(state: ModelState, unit: int, direction: str, x: Tensor) -> Tensor:
     cfg = state.config
     mixer = _UNIT_LAYOUT[cfg.aggregator][0]
     if mixer == "scan":
-        return scan_mod.apply_direction(
-            x, direction, _direction_params(state, unit), cfg.views, cfg.time_steps
-        )
+        weights = scope(state.params, f"unit{unit:02d}.scan")
+        return scan_mod.apply_direction(x, direction, weights, cfg.views, cfg.time_steps)
     if mixer == "attention":
         return _self_attention(state, unit, x)
     p = state.params

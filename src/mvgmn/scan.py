@@ -6,13 +6,14 @@ conv+ReLU stage, passed through a selective-scan layer with an additive
 residual, and restored to canonical grid order. Directions compose
 sequentially: each scan consumes the previous one's output. Sequences are
 batched [B, L, D]; each projection is a ``matmul`` by a weight plus a bias.
+Each function reads its weights from a dict keyed by their names within its
+layer, as ``tensor.scope`` cuts them out of the model's parameters.
 
 Canonical vertex order is row-major (view, time): vertex (v, t) <-> v*T + t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +28,7 @@ from .tensor import (
     custom_op,
     matmul,
     relu,
+    scope,
     sigmoid_stable,
     take_rows,
 )
@@ -73,41 +75,16 @@ def inverse_permutation(order: str, views: int, time_steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SsmParams:
-    """Input-dependent diagonal state-space parameters.
-
-    ``a_log`` stores log(-A) per (channel, state) so the state matrix
-    A = -exp(a_log) is strictly negative and the recurrence decays. The step
-    size is a softplus of a learned scalar projection of the current token;
-    input and readout projections are shared across channels; ``skip_gain``
-    is a learned per-channel passthrough.
-    """
-
-    a_log: Tensor  # [D, N]
-    b_proj: Tensor  # [D, N]
-    c_proj: Tensor  # [D, N]
-    dt_weight: Tensor  # [D, 1]
-    dt_bias: Tensor  # [1]
-    skip_gain: Tensor  # [D]
-
-    @property
-    def state_dim(self) -> int:
-        return self.a_log.shape[1]
-
-    def tensors(self) -> list[Tensor]:
-        return [
-            self.a_log,
-            self.b_proj,
-            self.c_proj,
-            self.dt_weight,
-            self.dt_bias,
-            self.skip_gain,
-        ]
-
-
-def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
+def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Run the selective-scan recurrence along axis -2 in one linear pass.
+
+    ``p`` holds the input-dependent diagonal state-space parameters:
+    ``a_log`` [D, N] stores log(-A) per (channel, state), so the state matrix
+    A = -exp(a_log) is strictly negative and the recurrence decays;
+    ``b_proj`` and ``c_proj`` [D, N] are the input and readout projections,
+    shared across channels; ``dt_weight`` [D, 1] and ``dt_bias`` [1] project
+    each token to its step size; ``skip_gain`` [D] is a learned per-channel
+    passthrough.
 
     Per step: dt = softplus(x_t . dt_weight + dt_bias) (one scalar per step),
     decay = exp(dt * A), drive = dt * (x_t . b_proj) outer x_t, state update
@@ -123,22 +100,23 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
     batch, length, d = xb.shape
     if length < 1:
         raise InputError("selective_scan requires at least one step")
-    if ssm.a_log.shape[0] != d:
+    if p["a_log"].shape[0] != d:
         raise DimensionError(
-            f"channel mismatch: input width {d} vs state params {ssm.a_log.shape}"
+            f"channel mismatch: input width {d} vs state params {p['a_log'].shape}"
         )
-    n = ssm.state_dim
+    # the tape's input order, which the backward's gradient list follows
+    weights = [p[k] for k in ("a_log", "b_proj", "c_proj", "dt_weight", "dt_bias", "skip_gain")]
+    a_log, b_proj, c_proj, dt_weight, dt_bias, skip = (w.data for w in weights)
+    n = a_log.shape[1]
 
-    a_log = ssm.a_log.data
     a_neg = -np.exp(a_log)  # [D, N], strictly negative
-    u = xb @ ssm.dt_weight.data + ssm.dt_bias.data  # [B, L, 1]
+    u = xb @ dt_weight + dt_bias  # [B, L, 1]
     u = u[..., 0]  # [B, L]
     delta = np.logaddexp(0.0, u).astype(xb.dtype)  # softplus
-    b_seq = xb @ ssm.b_proj.data  # [B, L, N]
-    c_seq = xb @ ssm.c_proj.data  # [B, L, N]
-    skip = ssm.skip_gain.data
+    b_seq = xb @ b_proj  # [B, L, N]
+    c_seq = xb @ c_proj  # [B, L, N]
 
-    record = _tracking(x, *ssm.tensors())
+    record = _tracking(x, *weights)
     hist = np.empty((batch, length, d, n), dtype=xb.dtype) if record else None
 
     # time-major contiguous copies and one reused work buffer: the step loop
@@ -194,30 +172,33 @@ def selective_scan(x: Tensor, ssm: SsmParams) -> Tensor:
             gh_next = gh * decay
         # step-size projection: delta = softplus(u)
         gu = g_delta * sigmoid_stable(u)
-        gx += gu[:, :, np.newaxis] * ssm.dt_weight.data[:, 0]
+        gx += gu[:, :, np.newaxis] * dt_weight[:, 0]
         g_dtw = np.einsum("bld,bl->d", xb, gu)[:, np.newaxis]
         g_dtb = np.asarray([gu.sum()], dtype=xb.dtype)
         # token projections into state drive/readout
-        gx += g_bseq @ ssm.b_proj.data.T
-        gx += g_cseq @ ssm.c_proj.data.T
+        gx += g_bseq @ b_proj.T
+        gx += g_cseq @ c_proj.T
         g_bproj = np.einsum("bld,bln->dn", xb, g_bseq)
         g_cproj = np.einsum("bld,bln->dn", xb, g_cseq)
         g_alog = g_a * a_neg  # dA/da_log = -exp(a_log) = A
         return [gx, g_alog, g_bproj, g_cproj, g_dtw, g_dtb, g_skip]
 
-    return custom_op(y, [x, *ssm.tensors()], backward)
+    return custom_op(y, [x, *weights], backward)
 
 
-def selective_scan_reference(x: np.ndarray, ssm: SsmParams) -> np.ndarray:
-    """Scalar-loop oracle for the recurrence; intentionally unvectorized."""
+def selective_scan_reference(x: np.ndarray, p: dict[str, Tensor]) -> np.ndarray:
+    """Scalar-loop oracle for the recurrence; intentionally unvectorized.
+
+    ``x`` is one [L, D] sequence; ``p`` holds ``selective_scan``'s tensors.
+    """
     length, d = x.shape
-    n = ssm.state_dim
-    a = -np.exp(np.asarray(ssm.a_log.data, dtype=np.float64))
-    bp = np.asarray(ssm.b_proj.data, dtype=np.float64)
-    cp = np.asarray(ssm.c_proj.data, dtype=np.float64)
-    dtw = np.asarray(ssm.dt_weight.data, dtype=np.float64)
-    dtb = float(ssm.dt_bias.data[0])
-    skip = np.asarray(ssm.skip_gain.data, dtype=np.float64)
+    n = p["a_log"].shape[1]
+    a = -np.exp(np.asarray(p["a_log"].data, dtype=np.float64))
+    bp = np.asarray(p["b_proj"].data, dtype=np.float64)
+    cp = np.asarray(p["c_proj"].data, dtype=np.float64)
+    dtw = np.asarray(p["dt_weight"].data, dtype=np.float64)
+    dtb = float(p["dt_bias"].data[0])
+    skip = np.asarray(p["skip_gain"].data, dtype=np.float64)
     h = np.zeros((d, n))
     y = np.zeros((length, d))
     for t in range(length):
@@ -244,70 +225,44 @@ def selective_scan_reference(x: np.ndarray, ssm: SsmParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MambaLayerParams:
-    """Linear -> depthwise conv -> selective scan -> residual -> linear."""
-
-    w_in: Tensor  # [D, D_inner]
-    b_in: Tensor  # [D_inner]
-    w_res: Tensor  # [D, D_inner]
-    b_res: Tensor  # [D_inner]
-    w_out: Tensor  # [D_inner, D]
-    b_out: Tensor  # [D]
-    conv_weight: Tensor  # [K_c, D_inner], depthwise
-    conv_bias: Tensor  # [D_inner]
-    ssm: SsmParams
-
-    def tensors(self) -> list[Tensor]:
-        return [
-            self.w_in,
-            self.b_in,
-            self.w_res,
-            self.b_res,
-            self.w_out,
-            self.b_out,
-            self.conv_weight,
-            self.conv_bias,
-            *self.ssm.tensors(),
-        ]
-
-
 def pre_conv(seq: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Sequence embedding stage: length-preserving conv followed by ReLU."""
     return relu(conv1d_same(seq, kernel, bias))
 
 
-def mamba_layer(seq: Tensor, params: MambaLayerParams) -> Tensor:
-    """One scan layer; output has the same shape as the input sequence."""
+def mamba_layer(seq: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Linear -> depthwise conv -> selective scan -> residual -> linear.
+
+    ``p`` holds ``w_in`` and ``w_res`` [D, D_inner] with biases ``b_in`` and
+    ``b_res`` [D_inner], ``w_out`` [D_inner, D] with bias ``b_out`` [D], the
+    depthwise ``conv_weight`` [K_c, D_inner] with ``conv_bias`` [D_inner], and
+    ``selective_scan``'s tensors under ``ssm.``. The output has the shape of
+    the input sequence.
+    """
     d = seq.shape[-1]
-    d_inner = params.w_in.shape[1]
-    if params.w_in.shape[0] != d or params.w_out.shape != (d_inner, d):
+    w_in, w_out = p["w_in"], p["w_out"]
+    d_inner = w_in.shape[1]
+    if w_in.shape[0] != d or w_out.shape != (d_inner, d):
         raise ConfigurationError(
             f"layer widths do not compose: input {seq.shape}, "
-            f"w_in {params.w_in.shape}, w_out {params.w_out.shape}"
+            f"w_in {w_in.shape}, w_out {w_out.shape}"
         )
-    inner = add(matmul(seq, params.w_in), params.b_in)
-    conv = conv1d_depthwise(inner, params.conv_weight, params.conv_bias)
-    scanned = selective_scan(conv, params.ssm)
-    residual = add(matmul(seq, params.w_res), params.b_res)
-    return add(matmul(add(scanned, residual), params.w_out), params.b_out)
-
-
-@dataclass
-class DirectionParams:
-    """Per-direction weights: embedding conv plus one scan layer."""
-
-    conv_kernel: Tensor  # [K, D, D]
-    conv_bias: Tensor  # [D]
-    mamba: MambaLayerParams
+    inner = add(matmul(seq, w_in), p["b_in"])
+    conv = conv1d_depthwise(inner, p["conv_weight"], p["conv_bias"])
+    scanned = selective_scan(conv, scope(p, "ssm"))
+    residual = add(matmul(seq, p["w_res"]), p["b_res"])
+    return add(matmul(add(scanned, residual), w_out), p["b_out"])
 
 
 def apply_direction(
-    canonical: Tensor, order: str, params: DirectionParams, views: int, time_steps: int
+    canonical: Tensor, order: str, p: dict[str, Tensor], views: int, time_steps: int
 ) -> Tensor:
-    """Scan canonically-ordered vertices [..., V*T, D] in one direction."""
-    seq = take_rows(canonical, scan_permutation(order, views, time_steps))
-    seq = pre_conv(seq, params.conv_kernel, params.conv_bias)
-    seq = mamba_layer(seq, params.mamba)
-    return take_rows(seq, inverse_permutation(order, views, time_steps))
+    """Scan canonically-ordered vertices [..., V*T, D] in one direction.
 
+    ``p`` holds the embedding conv's ``conv_kernel`` [K, D, D] and
+    ``conv_bias`` [D], and ``mamba_layer``'s tensors under ``mamba.``.
+    """
+    seq = take_rows(canonical, scan_permutation(order, views, time_steps))
+    seq = pre_conv(seq, p["conv_kernel"], p["conv_bias"])
+    seq = mamba_layer(seq, scope(p, "mamba"))
+    return take_rows(seq, inverse_permutation(order, views, time_steps))

@@ -20,7 +20,6 @@ stack, or equal-rank stacks pairwise.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,23 +28,9 @@ from .errors import ConfigurationError, DimensionError, NumericError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_finite_checks_enabled = True
-
-
-@contextmanager
-def finite_checks(enabled: bool):
-    """Temporarily enable/disable NaN/Inf checking on op outputs."""
-    global _finite_checks_enabled
-    prev = _finite_checks_enabled
-    _finite_checks_enabled = enabled
-    try:
-        yield
-    finally:
-        _finite_checks_enabled = prev
-
 
 def _check_finite(data: np.ndarray) -> None:
-    if _finite_checks_enabled and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError("operation produced non-finite values")
 
 
@@ -74,11 +59,14 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
+
+
+def scope(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
+    """The entries of ``params`` under ``prefix.``, keyed without that prefix."""
+    head = prefix + "."
+    return {k[len(head):]: t for k, t in params.items() if k.startswith(head)}
 
 
 _active_tape: "GradTape | None" = None

@@ -82,14 +82,14 @@ def test_criterion_2_scan_kernel_against_recurrence_oracle():
         length = int(rng.integers(1, 65))
         d = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
-        ssm = S.SsmParams(
-            a_log=Tensor(rng.standard_normal((d, n)) * 0.5),
-            b_proj=Tensor(rng.standard_normal((d, n)) * 0.5),
-            c_proj=Tensor(rng.standard_normal((d, n)) * 0.5),
-            dt_weight=Tensor(rng.standard_normal((d, 1)) * 0.5),
-            dt_bias=Tensor(rng.standard_normal(1)),
-            skip_gain=Tensor(rng.standard_normal(d)),
-        )
+        ssm = {
+            "a_log": Tensor(rng.standard_normal((d, n)) * 0.5),
+            "b_proj": Tensor(rng.standard_normal((d, n)) * 0.5),
+            "c_proj": Tensor(rng.standard_normal((d, n)) * 0.5),
+            "dt_weight": Tensor(rng.standard_normal((d, 1)) * 0.5),
+            "dt_bias": Tensor(rng.standard_normal(1)),
+            "skip_gain": Tensor(rng.standard_normal(d)),
+        }
         x = rng.standard_normal((length, d))
         fast = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
         slow = S.selective_scan_reference(x, ssm)
@@ -97,30 +97,32 @@ def test_criterion_2_scan_kernel_against_recurrence_oracle():
 
     # analytic edges: zero step size, and a single step
     d = 3
-    ssm = S.SsmParams(
-        a_log=Tensor(rng.standard_normal((d, 2))),
-        b_proj=Tensor(rng.standard_normal((d, 2))),
-        c_proj=Tensor(rng.standard_normal((d, 2))),
-        dt_weight=Tensor(np.zeros((d, 1))),
-        dt_bias=Tensor([-1e9]),
-        skip_gain=Tensor(rng.standard_normal(d)),
-    )
+    ssm = {
+        "a_log": Tensor(rng.standard_normal((d, 2))),
+        "b_proj": Tensor(rng.standard_normal((d, 2))),
+        "c_proj": Tensor(rng.standard_normal((d, 2))),
+        "dt_weight": Tensor(np.zeros((d, 1))),
+        "dt_bias": Tensor([-1e9]),
+        "skip_gain": Tensor(rng.standard_normal(d)),
+    }
     x = rng.standard_normal((5, d))
     zero_dt_err = float(
-        np.abs(S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0] - ssm.skip_gain.data * x).max()
+        np.abs(
+            S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0] - ssm["skip_gain"].data * x
+        ).max()
     )
-    ssm_one = S.SsmParams(
-        a_log=Tensor(rng.standard_normal((d, 2))),
-        b_proj=Tensor(rng.standard_normal((d, 2))),
-        c_proj=Tensor(rng.standard_normal((d, 2))),
-        dt_weight=Tensor(rng.standard_normal((d, 1))),
-        dt_bias=Tensor(rng.standard_normal(1)),
-        skip_gain=Tensor(rng.standard_normal(d)),
-    )
+    ssm_one = {
+        "a_log": Tensor(rng.standard_normal((d, 2))),
+        "b_proj": Tensor(rng.standard_normal((d, 2))),
+        "c_proj": Tensor(rng.standard_normal((d, 2))),
+        "dt_weight": Tensor(rng.standard_normal((d, 1))),
+        "dt_bias": Tensor(rng.standard_normal(1)),
+        "skip_gain": Tensor(rng.standard_normal(d)),
+    }
     x1 = rng.standard_normal((1, d))
-    dt = np.logaddexp(0, x1[0] @ ssm_one.dt_weight.data[:, 0] + ssm_one.dt_bias.data[0])
-    drive = dt * np.outer(x1[0], x1[0] @ ssm_one.b_proj.data)
-    expect = drive @ (x1[0] @ ssm_one.c_proj.data) + ssm_one.skip_gain.data * x1[0]
+    dt = np.logaddexp(0, x1[0] @ ssm_one["dt_weight"].data[:, 0] + ssm_one["dt_bias"].data[0])
+    drive = dt * np.outer(x1[0], x1[0] @ ssm_one["b_proj"].data)
+    expect = drive @ (x1[0] @ ssm_one["c_proj"].data) + ssm_one["skip_gain"].data * x1[0]
     one_step_err = float(
         np.abs(S.selective_scan(Tensor(x1[np.newaxis]), ssm_one).data[0][0] - expect).max()
     )
@@ -196,14 +198,14 @@ def test_criterion_4_permutation_algebra():
 
 def test_criterion_5_complexity_scaling():
     started = time.monotonic()
-    B.pin_to_one_core()
-    records = B.run_scaling_bench(
-        aggregators=("ssm", "attention"),
-        lengths=B.DEFAULT_LENGTHS,
-        width=64,
-        repeats=7,
-        warmup=2,
-    )
+    with B.pin_to_one_core():
+        records = B.run_scaling_bench(
+            aggregators=("ssm", "attention"),
+            lengths=B.DEFAULT_LENGTHS,
+            width=64,
+            repeats=7,
+            warmup=2,
+        )
     summary = B.summarize(records)["slopes"]
     ssm_slope, ssm_r2 = summary["ssm"]["slope"], summary["ssm"]["r2"]
     attn_slope = summary["attention"]["slope"]

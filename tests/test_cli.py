@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,21 @@ def test_bench_views_must_be_positive(tmp_path, capsys):
     ])
     assert code == 1
     assert "views" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+def test_bench_restores_cpu_affinity(tmp_path, capsys):
+    before = os.sched_getaffinity(0)
+    assert main([
+        "bench", "--out", str(tmp_path / "bad"), "--aggregators", "ssm",
+        "--lengths", "8,16,32,64", "--views", "0",
+    ]) == 1
+    assert os.sched_getaffinity(0) == before
+    assert main([
+        "bench", "--out", str(tmp_path / "ok"), "--aggregators", "ssm",
+        "--lengths", "8,16,32,64", "--width", "4", "--repeats", "5",
+    ]) == 0
+    assert os.sched_getaffinity(0) == before
 
 
 def test_ablate_fusion_ladder(dataset_dir, tmp_path, capsys):

@@ -8,20 +8,20 @@ from mvgmn.rng import Xoshiro256pp
 from mvgmn.tensor import Tensor, check_gradients
 
 
-def make_params(d_sk, d_rgb, d_k, d, mode="cross_attention", seed=0, requires=False):
+def make_params(d_sk, d_rgb, d_k, d, seed=0, requires=False):
+    """Every weight any fusion mode reads."""
     rng = np.random.default_rng(seed)
 
     def p(shape):
         return Tensor(rng.standard_normal(shape) * 0.5, requires_grad=requires)
 
-    return F.FusionParams(
-        w_query=p((d_sk, d_k)),
-        w_key=p((d_rgb, d_k)),
-        w_value=p((d_rgb, d)),
-        fusion_mode=mode,
-        w_skeleton=p((d_sk, d)),
-        w_linear=p((d_sk + d_rgb, d)),
-    )
+    return {
+        "w_query": p((d_sk, d_k)),
+        "w_key": p((d_rgb, d_k)),
+        "w_value": p((d_rgb, d)),
+        "w_skeleton": p((d_sk, d)),
+        "w_linear": p((d_sk + d_rgb, d)),
+    }
 
 
 def make_frame(d_sk, d_rgb, n_p, seed=0):
@@ -87,18 +87,18 @@ def test_zero_skeleton_token_gives_mean_of_values():
     params = make_params(3, 4, 2, 5, seed=1)
     sk, patches = make_frame(3, 4, 6, seed=2)
     sk.data[:] = 0.0
-    out = F.fuse_frames(sk, patches, params)
-    values = patches.data[0] @ params.w_value.data
+    out = F.fuse_frames(sk, patches, "cross_attention", params)
+    values = patches.data[0] @ params["w_value"].data
     np.testing.assert_allclose(out.data[0], values.mean(axis=0), atol=1e-12)
 
 
 def test_single_patch_ignores_query():
     params = make_params(3, 4, 2, 5, seed=3)
     sk, patches = make_frame(3, 4, 1, seed=4)
-    out1 = F.fuse_frames(sk, patches, params)
+    out1 = F.fuse_frames(sk, patches, "cross_attention", params)
     sk.data *= 37.0  # scaling the query cannot matter
-    out2 = F.fuse_frames(sk, patches, params)
-    expect = patches.data[0, 0] @ params.w_value.data
+    out2 = F.fuse_frames(sk, patches, "cross_attention", params)
+    expect = patches.data[0, 0] @ params["w_value"].data
     np.testing.assert_allclose(out1.data[0], expect, atol=1e-12)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
@@ -117,17 +117,17 @@ def test_scalar_attention_hand_oracle():
 def test_attention_invariant_to_patch_permutation():
     params = make_params(3, 4, 2, 5, seed=5)
     sk, patches = make_frame(3, 4, 7, seed=6)
-    out = F.fuse_frames(sk, patches, params)
+    out = F.fuse_frames(sk, patches, "cross_attention", params)
     perm = np.random.default_rng(7).permutation(7)
-    out_p = F.fuse_frames(sk, Tensor(patches.data[:, perm]), params)
+    out_p = F.fuse_frames(sk, Tensor(patches.data[:, perm]), "cross_attention", params)
     np.testing.assert_allclose(out.data, out_p.data, atol=1e-12)
 
 
 def test_attention_weights_sum_to_one():
     params = make_params(3, 4, 2, 5, seed=8)
     sk, patches = make_frame(3, 4, 5, seed=9)
-    q = sk.data[0] @ params.w_query.data
-    k = patches.data[0] @ params.w_key.data
+    q = sk.data[0] @ params["w_query"].data
+    k = patches.data[0] @ params["w_key"].data
     scores = (k @ q) / np.sqrt(2.0)
     w = T.softmax_rows(Tensor(scores[None, :])).data
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
@@ -145,21 +145,22 @@ def test_fuse_sequence_single_frame_matches_single_fusion():
     frames = [make_frame(3, 4, 6, seed=11 + i) for i in range(3)]
     sk = Tensor(np.concatenate([f[0].data for f in frames]))
     patches = Tensor(np.concatenate([f[1].data for f in frames]))
-    seq = F.fuse_frames(sk, patches, params)
+    seq = F.fuse_frames(sk, patches, "cross_attention", params)
     assert seq.shape == (3, 5)
     for i, frame in enumerate(frames):
-        single = F.fuse_frames(*frame, params)
+        single = F.fuse_frames(*frame, "cross_attention", params)
         assert single.shape == (1, 5)
         np.testing.assert_allclose(seq.data[i], single.data[0], atol=1e-12)
 
 
 def test_mean_mode_with_identical_projections():
-    params = make_params(2, 2, 2, 3, mode="mean", seed=12)
+    params = make_params(2, 2, 2, 3, seed=12)
     # force both projected modalities to the same vector
-    params.w_skeleton.data[:] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    params.w_value.data[:] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    params["w_skeleton"].data[:] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    params["w_value"].data[:] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     token = np.array([0.3, -0.7])
-    out = F.fuse_frames(Tensor(token[None]), Tensor(np.stack([token, token])[None]), params)
+    sk, patches = Tensor(token[None]), Tensor(np.stack([token, token])[None])
+    out = F.fuse_frames(sk, patches, "mean", params)
     np.testing.assert_allclose(out.data[0], [0.3, -0.7, 0.0], atol=1e-12)
 
 
@@ -169,8 +170,8 @@ def test_three_fusion_modes_are_distinct():
     patches = Tensor(np.concatenate([f[1].data for f in frames]))
     outs = {}
     for mode in F.FUSION_MODES:
-        params = make_params(3, 4, 2, 5, mode=mode, seed=13)
-        outs[mode] = F.fuse_frames(sk, patches, params).data
+        params = make_params(3, 4, 2, 5, seed=13)
+        outs[mode] = F.fuse_frames(sk, patches, mode, params).data
     assert not np.allclose(outs["cross_attention"], outs["mean"])
     assert not np.allclose(outs["cross_attention"], outs["linear"])
     assert not np.allclose(outs["mean"], outs["linear"])
@@ -180,28 +181,25 @@ def test_fuse_frames_rejects_zero_patches():
     params = make_params(3, 4, 2, 5)
     with pytest.raises(InputError):
         F.fuse_frames(
-            Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 0, 4))), params
+            Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 0, 4))), "cross_attention", params
         )
 
 
 def test_unknown_fusion_mode_rejected():
+    sk, patches = make_frame(2, 2, 2)
     with pytest.raises(ConfigurationError):
-        make_params(2, 2, 2, 2, mode="max")
-    # a known mode without the weights it reads is rejected the same way
-    with pytest.raises(ConfigurationError, match="w_skeleton"):
-        F.FusionParams(fusion_mode="mean", w_value=Tensor(np.ones((2, 2))))
+        F.fuse_frames(sk, patches, "max", make_params(2, 2, 2, 2))
 
 
 @pytest.mark.parametrize("mode", F.FUSION_MODES)
 def test_fusion_gradients(mode):
-    params = make_params(3, 4, 2, 5, mode=mode, seed=14, requires=True)
+    params = make_params(3, 4, 2, 5, seed=14, requires=True)
     rng = np.random.default_rng(15)
     sk = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     patches = Tensor(rng.standard_normal((4, 6, 4)), requires_grad=True)
 
     def loss():
-        out = F.fuse_frames(sk, patches, params)
+        out = F.fuse_frames(sk, patches, mode, params)
         return T.sum_all(T.mul(out, out))
 
-    weights = [w for w in vars(params).values() if isinstance(w, Tensor)]
-    assert check_gradients(loss, [sk, patches, *weights], h=1e-5) < 1e-4
+    assert check_gradients(loss, [sk, patches, *params.values()], h=1e-5) < 1e-4

@@ -34,14 +34,19 @@ def make_ssm(d, n, seed=0, dtype=np.float64, requires=True):
             (rng.standard_normal(shape) * scale).astype(dtype), requires_grad=requires
         )
 
-    return S.SsmParams(
-        a_log=p((d, n)),
-        b_proj=p((d, n)),
-        c_proj=p((d, n)),
-        dt_weight=p((d, 1)),
-        dt_bias=p((1,)),
-        skip_gain=p((d,)),
-    )
+    return {
+        "a_log": p((d, n)),
+        "b_proj": p((d, n)),
+        "c_proj": p((d, n)),
+        "dt_weight": p((d, 1)),
+        "dt_bias": p((1,)),
+        "skip_gain": p((d,)),
+    }
+
+
+def nest(prefix, params):
+    """``params`` keyed under ``prefix.``, as the layer that holds them reads them."""
+    return {f"{prefix}.{k}": t for k, t in params.items()}
 
 
 def make_layer(d, d_inner, n, seed=0, dtype=np.float64, requires=True, k_c=3):
@@ -52,17 +57,17 @@ def make_layer(d, d_inner, n, seed=0, dtype=np.float64, requires=True, k_c=3):
             (rng.standard_normal(shape) * scale).astype(dtype), requires_grad=requires
         )
 
-    return S.MambaLayerParams(
-        w_in=p((d, d_inner)),
-        b_in=p((d_inner,)),
-        w_res=p((d, d_inner)),
-        b_res=p((d_inner,)),
-        w_out=p((d_inner, d)),
-        b_out=p((d,)),
-        conv_weight=p((k_c, d_inner)),
-        conv_bias=p((d_inner,)),
-        ssm=make_ssm(d_inner, n, seed + 1, dtype, requires),
-    )
+    return {
+        "w_in": p((d, d_inner)),
+        "b_in": p((d_inner,)),
+        "w_res": p((d, d_inner)),
+        "b_res": p((d_inner,)),
+        "w_out": p((d_inner, d)),
+        "b_out": p((d,)),
+        "conv_weight": p((k_c, d_inner)),
+        "conv_bias": p((d_inner,)),
+        **nest("ssm", make_ssm(d_inner, n, seed + 1, dtype, requires)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +169,25 @@ def test_pre_conv_identity_kernel_on_nonnegative_input():
 def test_scan_zero_step_size_reduces_to_skip():
     d, n = 3, 4
     ssm = make_ssm(d, n, seed=2, requires=False)
-    ssm.dt_weight.data[:] = 0.0
-    ssm.dt_bias.data[:] = -1e9  # softplus underflows to exactly 0
+    ssm["dt_weight"].data[:] = 0.0
+    ssm["dt_bias"].data[:] = -1e9  # softplus underflows to exactly 0
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, d))
     y = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
-    np.testing.assert_allclose(y, ssm.skip_gain.data * x, atol=1e-12)
+    np.testing.assert_allclose(y, ssm["skip_gain"].data * x, atol=1e-12)
 
 
 def test_scan_hand_rolled_recurrence():
     # D=N=1, fixed step ln 2, unit drive/readout, no skip:
     # h_t = 0.5 h_{t-1} + ln 2, y_t = h_t.
-    ssm = S.SsmParams(
-        a_log=Tensor([[0.0]]),
-        b_proj=Tensor([[1.0]]),
-        c_proj=Tensor([[1.0]]),
-        dt_weight=Tensor([[0.0]]),
-        dt_bias=Tensor([0.0]),  # softplus(0) = ln 2
-        skip_gain=Tensor([0.0]),
-    )
+    ssm = {
+        "a_log": Tensor([[0.0]]),
+        "b_proj": Tensor([[1.0]]),
+        "c_proj": Tensor([[1.0]]),
+        "dt_weight": Tensor([[0.0]]),
+        "dt_bias": Tensor([0.0]),  # softplus(0) = ln 2
+        "skip_gain": Tensor([0.0]),
+    }
     y = S.selective_scan(Tensor([[[1.0], [1.0], [1.0]]]), ssm).data[0]
     np.testing.assert_allclose(y[:, 0], [0.6931, 1.0397, 1.2129], atol=1e-3)
 
@@ -193,11 +198,11 @@ def test_scan_single_step_unrolls():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, d))
     y = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
-    dt = np.logaddexp(0, x[0] @ ssm.dt_weight.data[:, 0] + ssm.dt_bias.data[0])
-    bvec = x[0] @ ssm.b_proj.data
-    cvec = x[0] @ ssm.c_proj.data
+    dt = np.logaddexp(0, x[0] @ ssm["dt_weight"].data[:, 0] + ssm["dt_bias"].data[0])
+    bvec = x[0] @ ssm["b_proj"].data
+    cvec = x[0] @ ssm["c_proj"].data
     h1 = dt * np.outer(x[0], bvec)
-    expect = h1 @ cvec + ssm.skip_gain.data * x[0]
+    expect = h1 @ cvec + ssm["skip_gain"].data * x[0]
     np.testing.assert_allclose(y[0], expect, atol=1e-12)
 
 
@@ -235,7 +240,7 @@ def test_scan_gradients_match_finite_differences():
         out = S.selective_scan(x, ssm)
         return T.sum_all(T.mul(out, out))
 
-    assert check_gradients(loss, [x, *ssm.tensors()], h=1e-5) < 1e-4
+    assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
 
 
 def test_scan_batched_gradients():
@@ -247,7 +252,7 @@ def test_scan_batched_gradients():
         out = S.selective_scan(x, ssm)
         return T.sum_all(T.mul(out, out))
 
-    assert check_gradients(loss, [x, *ssm.tensors()], h=1e-5) < 1e-4
+    assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
 
 
 def test_untaped_scan_stores_no_state_history():
@@ -279,10 +284,10 @@ def test_scan_rejects_empty_sequence():
 def test_mamba_layer_residual_identity():
     d = 4
     layer = make_layer(d, d, 3, seed=5, requires=False)
-    for t in layer.tensors():
+    for t in layer.values():
         t.data[:] = 0.0
-    layer.w_res.data[:] = np.eye(d)
-    layer.w_out.data[:] = np.eye(d)
+    layer["w_res"].data[:] = np.eye(d)
+    layer["w_out"].data[:] = np.eye(d)
     x = np.random.default_rng(6).standard_normal((5, d))
     out = S.mamba_layer(Tensor(x[np.newaxis]), layer).data[0]
     np.testing.assert_allclose(out, x, atol=1e-12)
@@ -310,7 +315,7 @@ def test_mamba_layer_gradients():
         out = S.mamba_layer(x, layer)
         return T.sum_all(T.mul(out, out))
 
-    assert check_gradients(loss, [x, *layer.tensors()], h=1e-5) < 1e-4
+    assert check_gradients(loss, [x, *layer.values()], h=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +323,13 @@ def test_mamba_layer_gradients():
 # ---------------------------------------------------------------------------
 
 
-def _direction_params(d, seed, requires=False):
+def make_direction(d, seed, requires=False):
     rng = np.random.default_rng(seed)
-    return S.DirectionParams(
-        conv_kernel=Tensor(rng.standard_normal((3, d, d)) * 0.4, requires_grad=requires),
-        conv_bias=Tensor(np.zeros(d), requires_grad=requires),
-        mamba=make_layer(d, 2 * d, 4, seed=seed + 1, requires=requires),
-    )
+    return {
+        "conv_kernel": Tensor(rng.standard_normal((3, d, d)) * 0.4, requires_grad=requires),
+        "conv_bias": Tensor(np.zeros(d), requires_grad=requires),
+        **nest("mamba", make_layer(d, 2 * d, 4, seed=seed + 1, requires=requires)),
+    }
 
 
 def scan_block(rows, mode, layers, v, t):
@@ -340,7 +345,7 @@ def scan_block(rows, mode, layers, v, t):
 
 def test_block_degenerate_single_vertex():
     rows = make_rows(1, 1, 3, seed=1)
-    layers = {o: _direction_params(3, i) for i, o in enumerate(S.SCAN_ORDERS)}
+    layers = {o: make_direction(3, i) for i, o in enumerate(S.SCAN_ORDERS)}
     out = scan_block(rows, "view_time", layers, 1, 1)
     assert out.shape == (1, 3)
 
@@ -349,17 +354,18 @@ def test_block_identity_composition():
     d = 3
     layers = {}
     for o in S.SCAN_ORDERS:
-        p = S.DirectionParams(
-            conv_kernel=Tensor(np.zeros((3, d, d))),
-            conv_bias=Tensor(np.zeros(d)),
-            mamba=make_layer(d, d, 4, seed=0, requires=False),
-        )
-        for t in p.mamba.tensors():
+        mamba = make_layer(d, d, 4, seed=0, requires=False)
+        for t in mamba.values():
             t.data[:] = 0.0
-        p.mamba.w_res.data = np.eye(d)
-        p.mamba.w_out.data = np.eye(d)
+        mamba["w_res"].data = np.eye(d)
+        mamba["w_out"].data = np.eye(d)
+        p = {
+            "conv_kernel": Tensor(np.zeros((3, d, d))),
+            "conv_bias": Tensor(np.zeros(d)),
+            **nest("mamba", mamba),
+        }
         # embedding conv = identity center tap so ReLU sees nonnegative input
-        p.conv_kernel.data[1] = np.eye(d)
+        p["conv_kernel"].data[1] = np.eye(d)
         layers[o] = p
     rows = Tensor(np.abs(np.random.default_rng(4).standard_normal((2, 3, d))).reshape(6, d))
     out = scan_block(rows, "view_time", layers, 2, 3)
@@ -368,7 +374,7 @@ def test_block_identity_composition():
 
 def test_view_vs_time_prioritized_differ():
     d = 4
-    shared = {o: _direction_params(d, 7) for o in S.SCAN_ORDERS}
+    shared = {o: make_direction(d, 7) for o in S.SCAN_ORDERS}
     rows = make_rows(3, 4, d, seed=8)
     out_v = scan_block(rows, "view_prioritized", shared, 3, 4)
     out_t = scan_block(rows, "time_prioritized", shared, 3, 4)
@@ -379,13 +385,14 @@ def test_backward_scan_equals_reverse_forward_reverse():
     # Scanning in a backward order with given weights must equal: reverse the
     # forward-order sequence, scan it with the same weights, reverse back.
     d, v, t = 3, 3, 4
-    params = _direction_params(d, 13)
+    params = make_direction(d, 13)
     x = Tensor(make_rows(v, t, d, seed=14).data[np.newaxis])
     direct = S.apply_direction(x, "view_backward", params, v, t).data
 
     seq_fwd = T.take_rows(x, S.scan_permutation("view_forward", v, t))
     rev = T.take_rows(seq_fwd, np.arange(v * t)[::-1].copy())
-    processed = S.mamba_layer(S.pre_conv(rev, params.conv_kernel, params.conv_bias), params.mamba)
+    embedded = S.pre_conv(rev, params["conv_kernel"], params["conv_bias"])
+    processed = S.mamba_layer(embedded, T.scope(params, "mamba"))
     back = T.take_rows(processed, np.arange(v * t)[::-1].copy())
     manual = T.take_rows(back, S.inverse_permutation("view_forward", v, t)).data
     np.testing.assert_allclose(direct, manual, atol=1e-12)
