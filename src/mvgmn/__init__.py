@@ -21,7 +21,7 @@ from .model import (
 )
 from .train import TrainConfig, evaluate, train_loop
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AGGREGATORS",

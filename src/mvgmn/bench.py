@@ -31,6 +31,7 @@ _BENCH_TAG = 0x42454E43  # "BENC"
 
 # keep a single timed sample above ~50 timer resolutions
 _MIN_SAMPLE_NS = 5_000_000
+_WARMUP = 2  # untimed forwards before the probe
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class BenchRecord:
     length: int
     median_ns: int
     repeats: int
-    warmup: int
 
 
 @contextmanager
@@ -79,13 +79,13 @@ def _bench_state(aggregator: str, length: int, width: int, views: int, seed: int
     return init_state(config, seed=seed, dtype=np.float32)
 
 
-def _timed_forward(state: ModelState, grid: Tensor, repeats: int, warmup: int) -> int:
+def _timed_forward(state: ModelState, grid: Tensor, repeats: int) -> int:
     """Median per-forward time in ns; auto-batches runs when one is too fast.
 
     Garbage collection is paused inside the timed region so collector pauses
     do not masquerade as forward-pass cost.
     """
-    for _ in range(warmup):
+    for _ in range(_WARMUP):
         forward_grid_batch(state, grid)
     probe_start = time.perf_counter_ns()
     forward_grid_batch(state, grid)
@@ -113,7 +113,6 @@ def run_scaling_bench(
     lengths=DEFAULT_LENGTHS,
     width: int = 64,
     repeats: int = 5,
-    warmup: int = 2,
     views: int = 4,
     seed: int = 0,
 ) -> list[BenchRecord]:
@@ -135,14 +134,13 @@ def run_scaling_bench(
             grid = Tensor(
                 rng.normals(length * width).reshape(1, length, width).astype(np.float32)
             )
-            median = _timed_forward(state, grid, repeats, warmup)
+            median = _timed_forward(state, grid, repeats)
             records.append(
                 BenchRecord(
                     aggregator=aggregator,
                     length=length,
                     median_ns=median,
                     repeats=repeats,
-                    warmup=warmup,
                 )
             )
     return records

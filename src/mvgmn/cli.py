@@ -30,6 +30,7 @@ from .errors import (
     InputError,
     MvgmnError,
 )
+from .tensor import scope
 
 _MODEL_KEYS = {
     f.name
@@ -63,8 +64,8 @@ def _load_config_file(path) -> dict[str, object]:
     if not isinstance(raw, dict):
         raise FormatError(f"config file {path} must hold a JSON object")
     for key in raw:
-        scope, _, field = key.partition(".")
-        known = {"data": _DATA_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS}.get(scope)
+        section, _, field = key.partition(".")
+        known = {"data": _DATA_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS}.get(section)
         if known is None or field not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
     return raw
@@ -82,11 +83,6 @@ def _merged(args) -> dict[str, object]:
         if "." in key and value is not None:
             merged[key] = value
     return merged
-
-
-def _scoped(merged: dict[str, object], scope: str) -> dict[str, object]:
-    prefix = scope + "."
-    return {k[len(prefix):]: v for k, v in merged.items() if k.startswith(prefix)}
 
 
 def _out_dir(args) -> Path:
@@ -178,7 +174,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = data_mod.SyntheticSpec(**_scoped(_merged(args), "data"))
+    spec = data_mod.SyntheticSpec(**scope(_merged(args), "data"))
     out = _out_dir(args)
     manifest = data_mod.generate_synthetic(spec, out)
     digest = data_mod.dataset_digest(out)
@@ -190,8 +186,8 @@ def _cmd_gen_data(args) -> int:
 def _prepare_training(args):
     merged = _merged(args)
     dataset = data_mod.load_dataset(args.data)
-    train_cfg = train_mod.TrainConfig(**_scoped(merged, "train"))
-    model_cfg = model_mod.config_for_dataset(dataset.spec, **_scoped(merged, "model"))
+    train_cfg = train_mod.TrainConfig(**scope(merged, "train"))
+    model_cfg = model_mod.config_for_dataset(dataset.spec, **scope(merged, "model"))
     manifest = json.loads(Path(args.data).read_text())
     splits = data_mod.make_splits(manifest, train_cfg.protocol)
     return dataset, splits, model_cfg, train_cfg
@@ -318,7 +314,7 @@ def _cmd_inspect_graph(args) -> int:
         state = model_mod.load_checkpoint(args.checkpoint)
     else:
         merged = _merged(args)
-        cfg = model_mod.config_for_dataset(dataset.spec, **_scoped(merged, "model"))
+        cfg = model_mod.config_for_dataset(dataset.spec, **scope(merged, "model"))
         state = model_mod.init_state(cfg, seed=merged.get("train.seed", 0))
     try:
         index = dataset.ids.index(args.sample)

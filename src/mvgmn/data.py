@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -350,7 +350,6 @@ class Dataset:
     subjects: np.ndarray  # [n]
     rgb: np.ndarray  # [n, V, T, N_p, rgb_dim] float32
     sk: np.ndarray  # [n, V, T_sk, sk_dim] float32
-    root: Path = field(default_factory=Path)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -384,7 +383,6 @@ def load_dataset(manifest_path) -> Dataset:
             subjects=np.asarray(subjects, dtype=np.int64),
             rgb=np.stack(rgb_all),
             sk=np.stack(sk_all),
-            root=root,
         )
     except (ValueError, KeyError, TypeError) as err:  # not JSON, bad keys, mismatched shapes
         raise FormatError(f"{path}: malformed manifest: {type(err).__name__}: {err}") from None

@@ -68,6 +68,12 @@ _UNIT_LAYOUT = {
 _VALID_BLOCK_COUNTS = (2, 4, 8, 12)
 _INIT_TAG = 0x494E4954  # "INIT"
 
+_INNER_EXPAND = 2  # Mamba layer's inner width per model width
+_CONV_WIDTH = 3  # odd: both sequence convolutions are length-preserving
+# fixed input gain of the classifier; compensates the scale lost to
+# vertex-count averaging at desk widths so the stated SGD rate trains
+_HEAD_GAIN = 10.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -85,22 +91,12 @@ class ModelConfig:
     aggregator: str = "mvgmn"
     knn_k: int = 3
     fusion_mode: str = "cross_attention"
-    gcn_layers_per_block: int = 1
     attn_dim: int = 16
-    inner_expand: int = 2
     state_dim: int = 64
-    conv_width: int = 3
-    # fixed input gain of the classifier; compensates the scale lost to
-    # vertex-count averaging at desk widths so the stated SGD rate trains
-    head_gain: float = 10.0
 
     @property
     def n_vertices(self) -> int:
         return self.views * self.time_steps
-
-    @property
-    def inner_width(self) -> int:
-        return self.inner_expand * self.width
 
     def __post_init__(self):
         check_number_fields(self)
@@ -128,14 +124,10 @@ class ModelConfig:
             raise ConfigurationError(
                 f"knn_k={self.knn_k} exceeds the {self.n_vertices - 1} available neighbors"
             )
-        if self.conv_width % 2 == 0:
-            raise ConfigurationError("conv_width must be odd")
         for name in ("views", "time_steps", "width", "rgb_dim", "sk_dim", "patches",
-                     "attn_dim", "inner_expand", "state_dim", "gcn_layers_per_block"):
+                     "attn_dim", "state_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
-        if self.head_gain <= 0:
-            raise ConfigurationError("head_gain must be positive")
 
 
 def config_for_dataset(spec: SyntheticSpec, **overrides) -> ModelConfig:
@@ -235,7 +227,7 @@ def _init_ssm(ini: _Init, prefix: str, d: int, n: int) -> None:
 
 
 def _init_scan_unit(ini: _Init, prefix: str, cfg: ModelConfig) -> None:
-    d, d_in, k = cfg.width, cfg.inner_width, cfg.conv_width
+    d, d_in, k = cfg.width, _INNER_EXPAND * cfg.width, _CONV_WIDTH
     ini.dense(f"{prefix}.conv_kernel", (k, d, d), k * d, d)
     ini.zeros(f"{prefix}.conv_bias", (d,))
     ini.dense(f"{prefix}.mamba.w_in", (d, d_in), d, d_in)
@@ -281,8 +273,7 @@ def _populate(ini: _Init, cfg: ModelConfig) -> dict:
             ini.dense(f"{prefix}.mix.weight", (d, d), d, d)
             ini.zeros(f"{prefix}.mix.bias", (d,))
         if edge_kind is not None:
-            for layer in range(cfg.gcn_layers_per_block):
-                ini.dense(f"{prefix}.gcn.l{layer}.weight", (d, d), d, d)
+            ini.dense(f"{prefix}.gcn.weight", (d, d), d, d)
 
     ini.dense("head.weight", (2 * d, cfg.n_classes), 2 * d, cfg.n_classes)
     ini.zeros("head.bias", (cfg.n_classes,))
@@ -362,11 +353,7 @@ def _graph_stage(state: ModelState, unit: int, x: Tensor, edge_kind: str) -> Ten
         # edge selection is structural: no gradient flows through it
         a_tilde = graph_mod.build_graph(cfg.views, cfg.time_steps, x.data, cfg.knn_k)
         norm = graph_mod.normalized_operator(a_tilde).astype(x.dtype)
-    norm_t = Tensor(norm)
-    for layer in range(cfg.gcn_layers_per_block):
-        w = state.params[f"unit{unit:02d}.gcn.l{layer}.weight"]
-        x = graph_mod.gcn_propagate(x, norm_t, w)
-    return x
+    return graph_mod.gcn_propagate(x, Tensor(norm), state.params[f"unit{unit:02d}.gcn.weight"])
 
 
 def _mix(state: ModelState, unit: int, direction: str, x: Tensor) -> Tensor:
@@ -401,7 +388,7 @@ def forward_grid_batch(state: ModelState, grid: Tensor) -> Tensor:
     for unit, direction in enumerate(state.schedule):
         x = _apply_unit(state, unit, direction, x)
     pooled = concat([mean_axis(x, axis=1), mean_axis(grid, axis=1)], axis=1)
-    pooled = mul(pooled, cfg.head_gain)
+    pooled = mul(pooled, _HEAD_GAIN)
     return add(matmul(pooled, state.params["head.weight"]), state.params["head.bias"])
 
 

@@ -57,17 +57,7 @@ class Xoshiro256pp:
         self._s = [next(sm) for _ in range(4)]
 
     def u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK, 23) + s0) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        return self.u64s(1)[0]
 
     def u64s(self, n: int) -> list[int]:
         # Unrolled locals: this loop dominates dataset generation time.

@@ -225,7 +225,7 @@ def selective_scan_reference(x: np.ndarray, p: dict[str, Tensor]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pre_conv(seq: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def pre_conv(seq: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Sequence embedding stage: length-preserving conv followed by ReLU."""
     return relu(conv1d_same(seq, kernel, bias))
 

@@ -39,8 +39,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -63,7 +63,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
 
 
-def scope(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
+def scope(params: dict, prefix: str) -> dict:
     """The entries of ``params`` under ``prefix.``, keyed without that prefix."""
     head = prefix + "."
     return {k[len(head):]: t for k, t in params.items() if k.startswith(head)}
@@ -168,20 +168,14 @@ def custom_op(
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a  # scalar + tensor
-    if isinstance(b, (int, float)):
-        return custom_op(a.data + b, [a], lambda g: [g])
+def add(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(a.data + b.data, [a, b], lambda g: [
         _unbroadcast(g, a.data.shape) if a.requires else None,
         _unbroadcast(g, b.data.shape) if b.requires else None,
     ])
 
 
-def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
     if isinstance(b, (int, float)):
         return custom_op(a.data * b, [a], lambda g: [g * b])
     return custom_op(a.data * b.data, [a, b], lambda g: [
@@ -270,15 +264,14 @@ def sum_all(a: Tensor) -> Tensor:
     return custom_op(out_data, [a], lambda g: [np.broadcast_to(g, a.data.shape).copy()])
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def mean_axis(a: Tensor, axis: int) -> Tensor:
     n = a.data.shape[axis]
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+        g = np.expand_dims(g, axis)
         return [np.broadcast_to(g / n, a.data.shape).copy()]
 
-    return custom_op(a.data.mean(axis=axis, keepdims=keepdims), [a], backward)
+    return custom_op(a.data.mean(axis=axis), [a], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +323,11 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, width)
 
 
-def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Length-preserving 1-D convolution along axis -2.
+def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Length-preserving 1-D convolution along axis -2, plus a bias.
 
-    ``x`` is [..., L, D], ``kernel`` is [K, D, D_out] with K odd; the input is
-    zero-padded by (K-1)/2 on both ends.
+    ``x`` is [..., L, D], ``kernel`` is [K, D, D_out] with K odd, ``bias`` is
+    [D_out]; the input is zero-padded by (K-1)/2 on both ends.
     """
     k, d_in, d_out = kernel.data.shape
     if k % 2 == 0:
@@ -349,8 +342,7 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor
     out_data = np.zeros(x.data.shape[:-1] + (d_out,), dtype=x.data.dtype)
     for j in range(k):
         out_data += np.matmul(xp[..., j : j + length, :], kernel.data[j])
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
 
     def backward(g):
         gx = gk = gb = None
@@ -365,15 +357,15 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor
             for j in range(k):
                 xs = xp[..., j : j + length, :].reshape(-1, d_in)
                 gk[j] = xs.T @ gf
-        if bias is not None and bias.requires:
+        if bias.requires:
             gb = g.reshape(-1, d_out).sum(axis=0)
         return [gx, gk, gb]
 
-    return custom_op(out_data, [x, kernel] if bias is None else [x, kernel, bias], backward)
+    return custom_op(out_data, [x, kernel, bias], backward)
 
 
-def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-channel length-preserving convolution: weights [K, D], x [..., L, D]."""
+def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel length-preserving convolution: weights [K, D], bias [D], x [..., L, D]."""
     k, d = weights.data.shape
     if k % 2 == 0:
         raise ConfigurationError(f"depthwise kernel width must be odd, got {k}")
@@ -387,8 +379,7 @@ def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> 
     out_data = np.zeros_like(x.data)
     for j in range(k):
         out_data += xp[..., j : j + length, :] * weights.data[j]
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
 
     def backward(g):
         gx = gw = gb = None
@@ -402,11 +393,11 @@ def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> 
             gw = np.zeros_like(weights.data)
             for j in range(k):
                 gw[j] = (xp[..., j : j + length, :] * g).sum(axis=lead)
-        if bias is not None and bias.requires:
+        if bias.requires:
             gb = g.sum(axis=lead)
         return [gx, gw, gb]
 
-    return custom_op(out_data, [x, weights] if bias is None else [x, weights, bias], backward)
+    return custom_op(out_data, [x, weights, bias], backward)
 
 
 # ---------------------------------------------------------------------------

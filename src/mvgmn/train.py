@@ -26,12 +26,12 @@ from .rng import Xoshiro256pp, derive_seed
 from .tensor import GradTape, softmax_cross_entropy
 
 _EPOCH_TAG = 0x45504F43  # "EPOC"
+_PLATEAU_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr0: float = 0.0025
-    plateau_factor: float = 0.1
     patience: int = 5
     batch_size: int = 32  # 64 reproduces the reference recipe
     max_epochs: int = 64
@@ -44,18 +44,15 @@ class TrainConfig:
             raise ConfigurationError("lr0 must be positive")
         if self.patience < 1:
             raise ConfigurationError("patience must be at least 1")
-        if not 0 < self.plateau_factor <= 1:
-            raise ConfigurationError("plateau_factor must lie in (0, 1]")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigurationError("batch_size and max_epochs must be at least 1")
 
 
 class PlateauScheduler:
-    """Multiply lr by ``factor`` after ``patience`` non-improving updates."""
+    """Multiply lr by 0.1 after ``patience`` non-improving updates."""
 
-    def __init__(self, lr0: float, factor: float, patience: int):
+    def __init__(self, lr0: float, patience: int):
         self.lr = lr0
-        self.factor = factor
         self.patience = patience
         self._bad = 0
 
@@ -65,7 +62,7 @@ class PlateauScheduler:
         else:
             self._bad += 1
             if self._bad >= self.patience:
-                self.lr *= self.factor
+                self.lr *= _PLATEAU_FACTOR
                 self._bad = 0
         return self.lr
 
@@ -129,20 +126,19 @@ def evaluate(
     if batch_size < 1:
         raise ConfigurationError(f"batch size must be at least 1, got {batch_size}")
 
-    def run(batch: np.ndarray) -> int:
-        logits = forward_batch(
+    def run(batch: np.ndarray) -> np.ndarray:
+        return forward_batch(
             state, dataset.rgb[batch], dataset.sk[batch], mask_view=mask_view
         ).data
-        return int((logits.argmax(axis=1) == dataset.labels[batch]).sum())
 
     batches = list(_batches(indices, batch_size))
     workers = worker_count()
     if workers > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            correct = sum(pool.map(run, batches))
+            logits = list(pool.map(run, batches))
     else:
-        correct = sum(run(b) for b in batches)
-    return correct / indices.size
+        logits = [run(b) for b in batches]
+    return top1_accuracy(np.concatenate(logits), dataset.labels[indices])
 
 
 def train_loop(
@@ -157,7 +153,7 @@ def train_loop(
     train_idx = dataset.index_of(splits.train_ids)
     test_idx = dataset.index_of(splits.test_ids)
     mask_view = splits.masked_view
-    sched = PlateauScheduler(cfg.lr0, cfg.plateau_factor, cfg.patience)
+    sched = PlateauScheduler(cfg.lr0, cfg.patience)
     log = TrainLog()
     best = evaluate(state, dataset, test_idx, cfg.batch_size, mask_view)
 

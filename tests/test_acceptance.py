@@ -49,7 +49,6 @@ def test_criterion_1_end_to_end_gradient_integrity():
         aggregator="mvgmn",
         knn_k=2,
         attn_dim=4,
-        inner_expand=2,
         state_dim=4,
     )
     state = M.init_state(cfg, seed=0, dtype=np.float64)
@@ -204,7 +203,6 @@ def test_criterion_5_complexity_scaling():
             lengths=B.DEFAULT_LENGTHS,
             width=64,
             repeats=7,
-            warmup=2,
         )
     summary = B.summarize(records)["slopes"]
     ssm_slope, ssm_r2 = summary["ssm"]["slope"], summary["ssm"]["r2"]

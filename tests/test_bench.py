@@ -10,7 +10,7 @@ from mvgmn.errors import ConfigurationError, InputError
 
 def fake_records(agg, exponent, lengths=(256, 512, 1024, 2048), c=50.0):
     return [
-        B.BenchRecord(agg, L, int(c * L**exponent), 5, 2)
+        B.BenchRecord(agg, L, int(c * L**exponent), 5)
         for L in lengths
     ]
 
@@ -53,7 +53,7 @@ def test_run_scaling_bench_validation():
 def test_small_sweep_records_and_outputs(tmp_path):
     lengths = (64, 128, 256, 512)
     records = B.run_scaling_bench(
-        aggregators=("ssm",), lengths=lengths, width=8, repeats=5, warmup=1
+        aggregators=("ssm",), lengths=lengths, width=8, repeats=5
     )
     assert [r.length for r in records] == list(lengths)
     assert all(r.median_ns > 0 for r in records)
@@ -74,7 +74,7 @@ def test_small_sweep_records_and_outputs(tmp_path):
 
 def test_repeated_runs_are_stable():
     # timing stability gate: identical config twice, medians within 20%
-    kwargs = dict(aggregators=("ssm",), lengths=(1024,), width=8, repeats=5, warmup=2)
+    kwargs = dict(aggregators=("ssm",), lengths=(1024,), width=8, repeats=5)
     with_1 = B.run_scaling_bench(**kwargs)[0].median_ns
     with_2 = B.run_scaling_bench(**kwargs)[0].median_ns
     assert abs(with_1 - with_2) / max(with_1, with_2) < 0.20

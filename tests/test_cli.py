@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvgmn
 from mvgmn import model as model_mod
 from mvgmn.cli import main
 
@@ -113,15 +114,19 @@ def test_config_value_of_wrong_type_rejected(dataset_dir, tmp_path, capsys, comm
     assert key.partition(".")[2] in capsys.readouterr().err
 
 
-def test_unknown_config_key_rejected(dataset_dir, tmp_path, capsys):
+# besides a made-up key, settings that version 0.1.0 had and 0.2.0 fixes
+@pytest.mark.parametrize(
+    "key", ["model.banana", "model.head_gain", "model.gcn_layers_per_block", "train.plateau_factor"]
+)
+def test_unknown_config_key_rejected(dataset_dir, tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model.banana": 1}))
+    cfg.write_text(json.dumps({key: 1}))
     code = main([
         "train", "--data", str(dataset_dir / "manifest.json"),
         "--out", str(tmp_path / "r"), "--config", str(cfg),
     ])
     assert code == 1
-    assert "banana" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_invalid_blocks_and_k_messages(dataset_dir, tmp_path, capsys):
@@ -242,12 +247,16 @@ def _break_manifest(manifest, case):
         del manifest["spec"]
     elif case == "sample_without_id":
         del manifest["samples"][0]["id"]
+    elif case == "sample_without_subject":
+        del manifest["samples"][0]["subject"]
     else:
         manifest["spec"]["dropout"] = 0.1
     return json.dumps(manifest)
 
 
-@pytest.mark.parametrize("case", ["not_json", "no_spec", "sample_without_id", "unknown_spec_key"])
+@pytest.mark.parametrize(
+    "case", ["not_json", "no_spec", "sample_without_id", "sample_without_subject", "unknown_spec_key"]
+)
 def test_malformed_manifest_is_validation_error(dataset_dir, tmp_path, capsys, case):
     cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
                                 sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
@@ -281,3 +290,10 @@ def test_unwritable_out_is_runtime_error(tmp_path, capsys):
         "--samples-per-class", "2", "--subjects", "2",
     ])
     assert code == 2
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == mvgmn.__version__

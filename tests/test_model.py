@@ -24,7 +24,6 @@ def tiny_config(**overrides):
         n_blocks=2,
         knn_k=1,
         attn_dim=2,
-        inner_expand=2,
         state_dim=2,
     )
     base.update(overrides)
@@ -85,8 +84,6 @@ def test_config_validation():
         tiny_config(knn_k=0)
     with pytest.raises(ConfigurationError):
         tiny_config(knn_k=4)  # 2x2 grid has only 3 neighbors
-    with pytest.raises(ConfigurationError):
-        tiny_config(conv_width=2)
     with pytest.raises(ConfigurationError):
         tiny_config(n_classes=1)
     # non-knn aggregators do not cap k against the grid
@@ -230,7 +227,7 @@ def test_end_to_end_gradients_subset():
         state.params["fusion.w_query"],
         state.params["unit00.scan.mamba.ssm.a_log"],
         state.params["unit00.scan.conv_kernel"],
-        state.params["unit01.gcn.l0.weight"],
+        state.params["unit01.gcn.weight"],
         state.params["head.weight"],
     ]
     assert check_gradients(loss, probe, h=1e-5) < 1e-4
@@ -261,8 +258,9 @@ def test_checkpoint_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "case, match",
-    [("unknown_config_key", "dropout"), ("missing_tensor", "head.bias"),
-     ("wrong_shape", "head.bias"), ("float_width", "width must be an integer")],
+    [("unknown_config_key", "dropout"), ("v0_1_config_key", "head_gain"),
+     ("missing_tensor", "head.bias"), ("wrong_shape", "head.bias"),
+     ("float_width", "width must be an integer")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
@@ -270,6 +268,8 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     tensors = {k: t.data for k, t in state.params.items()}
     if case == "unknown_config_key":
         config["dropout"] = 0.1
+    elif case == "v0_1_config_key":  # a field that version 0.1.0 checkpoints carry
+        config["head_gain"] = 10.0
     elif case == "float_width":
         config["width"] = float(config["width"])
     elif case == "missing_tensor":

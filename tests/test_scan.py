@@ -149,16 +149,17 @@ def test_pre_conv_nonnegative_and_zero_cases():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((7, 4)))
     kernel = Tensor(rng.standard_normal((3, 4, 4)))
-    out = S.pre_conv(x, kernel)
+    bias = Tensor(np.zeros(4))
+    out = S.pre_conv(x, kernel, bias)
     assert out.data.min() >= 0.0
-    zero = S.pre_conv(x, Tensor(np.zeros((3, 4, 4))))
+    zero = S.pre_conv(x, Tensor(np.zeros((3, 4, 4))), bias)
     np.testing.assert_array_equal(zero.data, np.zeros((7, 4)))
 
 
 def test_pre_conv_identity_kernel_on_nonnegative_input():
     x = Tensor(np.abs(np.random.default_rng(1).standard_normal((5, 3))))
     kernel = Tensor(np.eye(3)[np.newaxis])
-    np.testing.assert_array_equal(S.pre_conv(x, kernel).data, x.data)
+    np.testing.assert_array_equal(S.pre_conv(x, kernel, Tensor(np.zeros(3))).data, x.data)
 
 
 # ---------------------------------------------------------------------------

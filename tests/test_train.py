@@ -52,14 +52,14 @@ def small_state(seed=0, **overrides):
 
 
 def test_plateau_schedule_five_flat_epochs():
-    sched = TR.PlateauScheduler(0.0025, 0.1, 5)
+    sched = TR.PlateauScheduler(0.0025, 5)
     for _ in range(5):
         lr = sched.update(improved=False)
     assert lr == pytest.approx(0.00025)  # effective from epoch 6 onward
 
 
 def test_plateau_counter_resets_on_improvement():
-    sched = TR.PlateauScheduler(1.0, 0.1, 3)
+    sched = TR.PlateauScheduler(1.0, 3)
     pattern = [False, False, True, False, False, False]
     for improved in pattern:
         lr = sched.update(improved)
@@ -73,8 +73,6 @@ def test_train_config_validation():
         TR.TrainConfig(lr0=0.0)
     with pytest.raises(ConfigurationError):
         TR.TrainConfig(patience=0)
-    with pytest.raises(ConfigurationError):
-        TR.TrainConfig(plateau_factor=1.5)
 
 
 # ---------------------------------------------------------------------------
