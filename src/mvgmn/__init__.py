@@ -7,6 +7,8 @@ and synthetic datasets), ``train`` (SGD with plateau schedule), ``bench``
 (linear-vs-quadratic scaling), ``cli`` (command line).
 """
 
+__version__ = "0.3.0"  # set before the submodules import it
+
 from .data import SyntheticSpec, generate_synthetic, load_dataset, make_splits
 from .model import (
     AGGREGATORS,
@@ -20,8 +22,6 @@ from .model import (
     save_checkpoint,
 )
 from .train import TrainConfig, evaluate, train_loop
-
-__version__ = "0.2.0"
 
 __all__ = [
     "AGGREGATORS",

@@ -4,15 +4,14 @@ Times aggregator-only forward passes (pre-fused random grids, no fusion or
 data loading in the timed region) on a fixed view count with the time axis
 swept, so the vertex count L = V*T grows geometrically. A log-log slope fit
 over the sweep separates linear-time scan aggregation from the quadratic
-self-attention baseline. Medians of repeated runs after warmup; the process
-is pinned to one core where the platform allows it.
+self-attention baseline. ``median_call_ns`` is the one timer, for any call:
+medians of repeated runs after warmup, with the collector paused and the
+process pinned to one core where the platform allows it.
 """
 
 from __future__ import annotations
 
-import csv
 import gc
-import json
 import math
 import os
 import time
@@ -31,7 +30,8 @@ _BENCH_TAG = 0x42454E43  # "BENC"
 
 # keep a single timed sample above ~50 timer resolutions
 _MIN_SAMPLE_NS = 5_000_000
-_WARMUP = 2  # untimed forwards before the probe
+_WARMUP = 2  # untimed calls before the probe
+_VIEWS = 4
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,12 @@ def pin_to_one_core():
             os.sched_setaffinity(0, cores)
 
 
-def _bench_state(aggregator: str, length: int, width: int, views: int, seed: int) -> ModelState:
-    if length % views != 0:
-        raise ConfigurationError(f"length {length} is not a multiple of {views} views")
+def _bench_state(aggregator: str, length: int, width: int) -> ModelState:
+    if length % _VIEWS != 0:
+        raise ConfigurationError(f"length {length} is not a multiple of {_VIEWS} views")
     config = ModelConfig(
-        views=views,
-        time_steps=length // views,
+        views=_VIEWS,
+        time_steps=length // _VIEWS,
         width=width,
         n_classes=8,
         rgb_dim=4,
@@ -76,35 +76,36 @@ def _bench_state(aggregator: str, length: int, width: int, views: int, seed: int
         aggregator=aggregator,
         knn_k=3,
     )
-    return init_state(config, seed=seed, dtype=np.float32)
+    return init_state(config, seed=0, dtype=np.float32)
 
 
-def _timed_forward(state: ModelState, grid: Tensor, repeats: int) -> int:
-    """Median per-forward time in ns; auto-batches runs when one is too fast.
+def median_call_ns(call, repeats: int) -> int:
+    """Median time of one ``call()`` in ns; auto-batches calls when one is too fast.
 
-    Garbage collection is paused inside the timed region so collector pauses
-    do not masquerade as forward-pass cost.
+    Runs pinned to one core. Garbage collection is paused inside the timed
+    region so collector pauses do not masquerade as the call's cost.
     """
-    for _ in range(_WARMUP):
-        forward_grid_batch(state, grid)
-    probe_start = time.perf_counter_ns()
-    forward_grid_batch(state, grid)
-    probe = max(time.perf_counter_ns() - probe_start, 1)
-    inner = max(1, math.ceil(_MIN_SAMPLE_NS / probe))
-    samples = []
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter_ns()
-            for _ in range(inner):
-                forward_grid_batch(state, grid)
-            samples.append((time.perf_counter_ns() - start) / inner)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with pin_to_one_core():
+        for _ in range(_WARMUP):
+            call()
+        probe_start = time.perf_counter_ns()
+        call()
+        probe = max(time.perf_counter_ns() - probe_start, 1)
+        inner = max(1, math.ceil(_MIN_SAMPLE_NS / probe))
+        samples = []
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(repeats):
+                start = time.perf_counter_ns()
+                for _ in range(inner):
+                    call()
+                samples.append((time.perf_counter_ns() - start) / inner)
+                gc.collect()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     return int(np.median(samples))
 
 
@@ -113,14 +114,10 @@ def run_scaling_bench(
     lengths=DEFAULT_LENGTHS,
     width: int = 64,
     repeats: int = 5,
-    views: int = 4,
-    seed: int = 0,
 ) -> list[BenchRecord]:
-    """Time each aggregator across the length sweep on one substrate."""
+    """Time each aggregator's forward across the length sweep on one substrate."""
     if repeats < 5:
         raise ConfigurationError("repeats must be at least 5")
-    if views < 1:
-        raise ConfigurationError("views must be at least 1")
     lengths = sorted(lengths)
     if len(lengths) > 1 and lengths[-1] < 4 * lengths[0]:
         raise ConfigurationError(
@@ -129,12 +126,12 @@ def run_scaling_bench(
     records = []
     for aggregator in aggregators:
         for length in lengths:
-            state = _bench_state(aggregator, length, width, views, seed)
-            rng = Xoshiro256pp(derive_seed(seed, _BENCH_TAG, length))
+            state = _bench_state(aggregator, length, width)
+            rng = Xoshiro256pp(derive_seed(0, _BENCH_TAG, length))
             grid = Tensor(
                 rng.normals(length * width).reshape(1, length, width).astype(np.float32)
             )
-            median = _timed_forward(state, grid, repeats)
+            median = median_call_ns(lambda: forward_grid_batch(state, grid), repeats)
             records.append(
                 BenchRecord(
                     aggregator=aggregator,
@@ -162,14 +159,6 @@ def fit_slope(records: list[BenchRecord]) -> tuple[float, float]:
     return float(slope), r2
 
 
-def write_csv(records: list[BenchRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["aggregator", "L", "median_ns", "repeats"])
-        for r in records:
-            writer.writerow([r.aggregator, r.length, r.median_ns, r.repeats])
-
-
 def summarize(records: list[BenchRecord]) -> dict:
     """JSON-ready summary with per-aggregator fitted slopes."""
     by_agg: dict[str, list[BenchRecord]] = {}
@@ -180,8 +169,3 @@ def summarize(records: list[BenchRecord]) -> dict:
         slope, r2 = fit_slope(rows)
         slopes[agg] = {"slope": round(slope, 4), "r2": round(r2, 6)}
     return {"records": [asdict(r) for r in records], "slopes": slopes}
-
-
-def write_summary(records: list[BenchRecord], path) -> None:
-    with open(path, "w") as f:
-        json.dump(summarize(records), f, indent=2, sort_keys=True)

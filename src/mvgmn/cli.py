@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +153,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lengths", default=",".join(str(x) for x in bench_mod.DEFAULT_LENGTHS))
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--views", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("inspect-graph", help="dump one block's edge sets as JSON")
     p.add_argument("--data", required=True)
@@ -235,17 +232,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _single_sample_latency_ms(state, dataset) -> float:
-    rgb, sk = dataset.rgb[:1], dataset.sk[:1]
-    model_mod.forward_batch(state, rgb, sk)  # warm caches
-    samples = []
-    for _ in range(5):
-        start = time.perf_counter_ns()
-        model_mod.forward_batch(state, rgb, sk)
-        samples.append(time.perf_counter_ns() - start)
-    return float(np.median(samples)) / 1e6
-
-
 def _cmd_ablate(args) -> int:
     dataset, splits, base_cfg, train_cfg = _prepare_training(args)
     out = _out_dir(args)
@@ -260,12 +246,15 @@ def _cmd_ablate(args) -> int:
             variants.append(
                 (f"fusion={mode}", dataclasses.replace(base_cfg, fusion_mode=mode))
             )
+    rgb, sk = dataset.rgb[:1], dataset.sk[:1]  # single-sample latency input
     rows = []
     for name, cfg in variants:
         state = model_mod.init_state(cfg, seed=train_cfg.seed)
         params = model_mod.count_parameters(state)
         state, log = train_mod.train_loop(state, dataset, splits, train_cfg)
-        latency = _single_sample_latency_ms(state, dataset)
+        latency = bench_mod.median_call_ns(
+            lambda: model_mod.forward_batch(state, rgb, sk), repeats=5
+        ) / 1e6
         rows.append({"variant": name, "params": params,
                      "top1": round(log.rows[-1].top1, 4),
                      "latency_ms": round(latency, 3)})
@@ -292,18 +281,11 @@ def _cmd_bench(args) -> int:
         raise ConfigurationError(
             f"--lengths must be comma-separated integers, got {args.lengths!r}"
         ) from None
-    with bench_mod.pin_to_one_core():
-        records = bench_mod.run_scaling_bench(
-            aggregators=aggregators,
-            lengths=lengths,
-            width=args.width,
-            repeats=args.repeats,
-            views=args.views,
-            seed=args.seed,
-        )
-    bench_mod.write_csv(records, out / "bench.csv")
-    bench_mod.write_summary(records, out / "bench.json")
+    records = bench_mod.run_scaling_bench(
+        aggregators=aggregators, lengths=lengths, width=args.width, repeats=args.repeats
+    )
     summary = bench_mod.summarize(records)
+    (out / "bench.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary["slopes"], sort_keys=True))
     return 0
 

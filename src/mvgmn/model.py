@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from . import graph as graph_mod
 from . import scan as scan_mod
 from .data import SyntheticSpec, check_number_fields, read_tensor_container, write_tensor_container
@@ -431,7 +432,7 @@ def inspect_graph(
 
 
 def save_checkpoint(path, state: ModelState) -> None:
-    meta = {"kind": "mvgmn-checkpoint", "config": asdict(state.config)}
+    meta = {"kind": "mvgmn-checkpoint", "version": __version__, "config": asdict(state.config)}
     write_tensor_container(path, meta, {k: t.data for k, t in state.params.items()})
 
 
@@ -439,6 +440,10 @@ def load_checkpoint(path) -> ModelState:
     meta, tensors = read_tensor_container(path)
     if meta.get("kind") != "mvgmn-checkpoint":
         raise InputError(f"{path} is not a model checkpoint")
+    version = meta.get("version")
+    if version != __version__:
+        written = "a version before 0.3.0" if version is None else f"version {version}"
+        raise FormatError(f"{path}: checkpoint written by {written}; this is mvgmn {__version__}")
     try:
         config = ModelConfig(**meta.get("config"))
     except TypeError as err:  # absent config, or unknown, missing or mistyped fields

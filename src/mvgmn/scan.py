@@ -225,11 +225,6 @@ def selective_scan_reference(x: np.ndarray, p: dict[str, Tensor]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pre_conv(seq: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Sequence embedding stage: length-preserving conv followed by ReLU."""
-    return relu(conv1d_same(seq, kernel, bias))
-
-
 def mamba_layer(seq: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Linear -> depthwise conv -> selective scan -> residual -> linear.
 
@@ -259,10 +254,12 @@ def apply_direction(
 ) -> Tensor:
     """Scan canonically-ordered vertices [..., V*T, D] in one direction.
 
-    ``p`` holds the embedding conv's ``conv_kernel`` [K, D, D] and
-    ``conv_bias`` [D], and ``mamba_layer``'s tensors under ``mamba.``.
+    The reordered sequence is embedded by a length-preserving conv and a ReLU,
+    then passed through ``mamba_layer``. ``p`` holds the embedding conv's
+    ``conv_kernel`` [K, D, D] and ``conv_bias`` [D], and ``mamba_layer``'s
+    tensors under ``mamba.``.
     """
     seq = take_rows(canonical, scan_permutation(order, views, time_steps))
-    seq = pre_conv(seq, p["conv_kernel"], p["conv_bias"])
+    seq = relu(conv1d_same(seq, p["conv_kernel"], p["conv_bias"]))
     seq = mamba_layer(seq, scope(p, "mamba"))
     return take_rows(seq, inverse_permutation(order, views, time_steps))

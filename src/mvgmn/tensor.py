@@ -228,15 +228,15 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows along axis -2 (sequence axis); backward scatter-adds."""
+    """Reorder rows along axis -2 (sequence axis) by the permutation ``idx``.
+
+    ``idx`` must be a permutation of that axis, so the backward is the
+    gather by its inverse.
+    """
     idx = np.asarray(idx, dtype=np.intp)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(full, -2, 0), idx, np.moveaxis(g, -2, 0))
-        return [full]
-
-    return custom_op(np.take(a.data, idx, axis=-2), [a], backward)
+    return custom_op(
+        np.take(a.data, idx, axis=-2), [a], lambda g: [np.take(g, np.argsort(idx), axis=-2)]
+    )
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:

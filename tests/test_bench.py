@@ -1,5 +1,5 @@
-import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -46,11 +46,9 @@ def test_run_scaling_bench_validation():
         B.run_scaling_bench(lengths=(256, 512), repeats=5)
     with pytest.raises(ConfigurationError):
         B.run_scaling_bench(lengths=(250, 1000), repeats=5)  # not divisible by views
-    with pytest.raises(ConfigurationError):
-        B.run_scaling_bench(lengths=(8, 16, 32, 64), repeats=5, views=0)
 
 
-def test_small_sweep_records_and_outputs(tmp_path):
+def test_small_sweep_records_and_outputs():
     lengths = (64, 128, 256, 512)
     records = B.run_scaling_bench(
         aggregators=("ssm",), lengths=lengths, width=8, repeats=5
@@ -59,17 +57,21 @@ def test_small_sweep_records_and_outputs(tmp_path):
     assert all(r.median_ns > 0 for r in records)
     assert all(r.repeats == 5 for r in records)
 
-    csv_path = tmp_path / "bench.csv"
-    B.write_csv(records, csv_path)
-    rows = list(csv.reader(open(csv_path)))
-    assert rows[0] == ["aggregator", "L", "median_ns", "repeats"]
-    assert len(rows) == 5
-
-    summary_path = tmp_path / "bench.json"
-    B.write_summary(records, summary_path)
-    summary = json.loads(summary_path.read_text())
-    assert "ssm" in summary["slopes"]
+    summary = json.loads(json.dumps(B.summarize(records)))
+    assert set(summary["slopes"]) == {"ssm"}
+    assert summary["records"][0] == {
+        "aggregator": "ssm", "length": 64, "median_ns": records[0].median_ns, "repeats": 5,
+    }
     assert len(summary["records"]) == 4
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+def test_median_call_ns_pins_one_core_and_restores():
+    before = os.sched_getaffinity(0)
+    seen = []
+    assert B.median_call_ns(lambda: seen.append(os.sched_getaffinity(0)), repeats=3) > 0
+    assert seen and all(len(cores) == 1 and cores <= before for cores in seen)
+    assert os.sched_getaffinity(0) == before
 
 
 def test_repeated_runs_are_stable():

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 import mvgmn
 from mvgmn import model as model_mod
-from mvgmn.cli import main
+from mvgmn.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +161,7 @@ def test_bench_small_sweep(tmp_path, capsys):
     assert code == 0
     slopes = _last_json(capsys)
     assert "ssm" in slopes
-    assert (out / "bench.csv").exists() and (out / "bench.json").exists()
+    assert (out / "bench.json").exists() and not (out / "bench.csv").exists()
 
 
 def test_bench_lengths_must_be_integers(tmp_path, capsys):
@@ -168,13 +170,10 @@ def test_bench_lengths_must_be_integers(tmp_path, capsys):
     assert "--lengths" in capsys.readouterr().err
 
 
-def test_bench_views_must_be_positive(tmp_path, capsys):
-    code = main([
-        "bench", "--out", str(tmp_path / "bench"), "--aggregators", "ssm",
-        "--lengths", "8,16,32,64", "--views", "0",
-    ])
-    assert code == 1
-    assert "views" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", [["--views", "4"], ["--seed", "0"]])
+def test_bench_substrate_is_fixed(tmp_path, capsys, flag):
+    assert main(["bench", "--out", str(tmp_path / "bench"), *flag]) == 1
+    assert flag[0] in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
@@ -182,7 +181,7 @@ def test_bench_restores_cpu_affinity(tmp_path, capsys):
     before = os.sched_getaffinity(0)
     assert main([
         "bench", "--out", str(tmp_path / "bad"), "--aggregators", "ssm",
-        "--lengths", "8,16,32,64", "--views", "0",
+        "--lengths", "8,16,32,64", "--repeats", "3",
     ]) == 1
     assert os.sched_getaffinity(0) == before
     assert main([
@@ -297,3 +296,21 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as f:
         assert tomllib.load(f)["project"]["version"] == mvgmn.__version__
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["mvgmn"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6  # one per subcommand in the quick start
+    for words in commands:
+        build_parser().parse_args(words)

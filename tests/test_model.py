@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import mvgmn
 from mvgmn import data as D
 from mvgmn import graph as G
 from mvgmn import model as M
@@ -260,13 +261,20 @@ def test_checkpoint_round_trip(tmp_path):
     "case, match",
     [("unknown_config_key", "dropout"), ("v0_1_config_key", "head_gain"),
      ("missing_tensor", "head.bias"), ("wrong_shape", "head.bias"),
-     ("float_width", "width must be an integer")],
+     ("float_width", "width must be an integer"),
+     ("no_version", f"a version before 0.3.0; this is mvgmn {mvgmn.__version__}"),
+     ("v0_2_version", f"version 0.2.0; this is mvgmn {mvgmn.__version__}")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
+    meta = {"kind": "mvgmn-checkpoint", "version": mvgmn.__version__}
     config = asdict(state.config)
     tensors = {k: t.data for k, t in state.params.items()}
-    if case == "unknown_config_key":
+    if case == "no_version":
+        del meta["version"]
+    elif case == "v0_2_version":
+        meta["version"] = "0.2.0"
+    elif case == "unknown_config_key":
         config["dropout"] = 0.1
     elif case == "v0_1_config_key":  # a field that version 0.1.0 checkpoints carry
         config["head_gain"] = 10.0
@@ -277,7 +285,7 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     else:
         tensors["head.bias"] = np.zeros(4, dtype=np.float32)
     path = tmp_path / "bad.mvgc"
-    D.write_tensor_container(path, {"kind": "mvgmn-checkpoint", "config": config}, tensors)
+    D.write_tensor_container(path, {**meta, "config": config}, tensors)
     error = ConfigurationError if case == "float_width" else FormatError
     with pytest.raises(error, match=match):
         M.load_checkpoint(path)

@@ -141,25 +141,26 @@ def test_unknown_order_and_mode_rejected():
 
 
 # ---------------------------------------------------------------------------
-# pre_conv
+# embedding conv
 # ---------------------------------------------------------------------------
 
 
-def test_pre_conv_nonnegative_and_zero_cases():
+def test_embedding_conv_nonnegative_and_zero_cases():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((7, 4)))
     kernel = Tensor(rng.standard_normal((3, 4, 4)))
     bias = Tensor(np.zeros(4))
-    out = S.pre_conv(x, kernel, bias)
+    out = T.relu(T.conv1d_same(x, kernel, bias))
     assert out.data.min() >= 0.0
-    zero = S.pre_conv(x, Tensor(np.zeros((3, 4, 4))), bias)
+    zero = T.relu(T.conv1d_same(x, Tensor(np.zeros((3, 4, 4))), bias))
     np.testing.assert_array_equal(zero.data, np.zeros((7, 4)))
 
 
-def test_pre_conv_identity_kernel_on_nonnegative_input():
+def test_embedding_conv_identity_kernel_on_nonnegative_input():
     x = Tensor(np.abs(np.random.default_rng(1).standard_normal((5, 3))))
     kernel = Tensor(np.eye(3)[np.newaxis])
-    np.testing.assert_array_equal(S.pre_conv(x, kernel, Tensor(np.zeros(3))).data, x.data)
+    out = T.relu(T.conv1d_same(x, kernel, Tensor(np.zeros(3))))
+    np.testing.assert_array_equal(out.data, x.data)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def test_backward_scan_equals_reverse_forward_reverse():
 
     seq_fwd = T.take_rows(x, S.scan_permutation("view_forward", v, t))
     rev = T.take_rows(seq_fwd, np.arange(v * t)[::-1].copy())
-    embedded = S.pre_conv(rev, params["conv_kernel"], params["conv_bias"])
+    embedded = T.relu(T.conv1d_same(rev, params["conv_kernel"], params["conv_bias"]))
     processed = S.mamba_layer(embedded, T.scope(params, "mamba"))
     back = T.take_rows(processed, np.arange(v * t)[::-1].copy())
     manual = T.take_rows(back, S.inverse_permutation("view_forward", v, t)).data

@@ -256,7 +256,7 @@ OPS = {
     "softmax": lambda p, x: T.softmax_rows(T.mul(p, x)),
     "mean_axis": lambda p, x: T.mean_axis(T.mul(p, x), axis=0),
     "swap_last": lambda p, x: T.swap_last(T.mul(p, x)),
-    "take_rows": lambda p, x: T.take_rows(T.mul(p, x), [2, 0, 1, 0]),
+    "take_rows": lambda p, x: T.take_rows(T.mul(p, x), [2, 0, 3, 1]),
     "concat": lambda p, x: T.concat([T.mul(p, 2.0), T.mul(p, x)], axis=1),
     "concat_three_axis0": lambda p, x: T.concat([p, T.mul(p, x), T.mul(p, 3.0)], axis=0),
     "matmul_stack_constant_left": lambda p, x: T.matmul(
