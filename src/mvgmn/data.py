@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -31,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InputError
-from .fusion import sample_segments
 from .rng import Xoshiro256pp, derive_seed
 
 MAGIC = b"MVGF"
@@ -100,8 +100,7 @@ def _parse_tensor_block(blob: bytes, base: int, name: str) -> tuple[np.ndarray, 
     off += 4
     dims = _unpack(f"<{rank}I", blob, off, name, "dims")
     off += 4 * rank
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    nbytes = count * dtype.itemsize
+    nbytes = math.prod(dims) * dtype.itemsize  # Python ints: a huge product cannot wrap
     if off + nbytes > len(blob):
         raise FormatError(
             f"{name}: payload expects {nbytes} bytes, found {len(blob) - off}",
@@ -276,6 +275,22 @@ def latent_trajectory(
     )
     base = world.class_offsets[label] + world.AMPLITUDE * wave
     return world.subject_scales[subject] * base + world.subject_offsets[subject]
+
+
+def sample_segments(length: int, num_segments: int, rng: Xoshiro256pp) -> list[int]:
+    """One frame index per equal segment of [0, length), strictly increasing."""
+    if num_segments < 1:
+        raise InputError("num_segments must be at least 1")
+    if length < num_segments:
+        raise InputError(
+            f"cannot sample {num_segments} segments from {length} frames"
+        )
+    indices = []
+    for i in range(num_segments):
+        lo = (i * length) // num_segments
+        hi = ((i + 1) * length) // num_segments
+        indices.append(lo + rng.below(hi - lo))
+    return indices
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> dict:

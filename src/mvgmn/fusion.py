@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, InputError
-from .rng import Xoshiro256pp
 from .tensor import (
     Tensor,
     add,
@@ -28,22 +27,6 @@ from .tensor import (
 )
 
 FUSION_MODES = ("cross_attention", "mean", "linear")
-
-
-def sample_segments(length: int, num_segments: int, rng: Xoshiro256pp) -> list[int]:
-    """One frame index per equal segment of [0, length), strictly increasing."""
-    if num_segments < 1:
-        raise InputError("num_segments must be at least 1")
-    if length < num_segments:
-        raise InputError(
-            f"cannot sample {num_segments} segments from {length} frames"
-        )
-    indices = []
-    for i in range(num_segments):
-        lo = (i * length) // num_segments
-        hi = ((i + 1) * length) // num_segments
-        indices.append(lo + rng.below(hi - lo))
-    return indices
 
 
 def skeleton_alignment_indices(t_sk: int, t_rgb: int) -> np.ndarray:

@@ -23,8 +23,7 @@ from .tensor import (
     Tensor,
     _tracking,
     add,
-    conv1d_depthwise,
-    conv1d_same,
+    conv1d,
     custom_op,
     matmul,
     relu,
@@ -142,7 +141,7 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
             hist[:, t] = h
         np.multiply(h, ct[t][:, np.newaxis, :], out=work)
         np.sum(work, axis=-1, out=yt[t])
-        yt[t] += skip * xt[t]
+    yt += skip * xt
     y = yt.transpose(1, 0, 2)
 
     def backward(gy: np.ndarray):
@@ -186,40 +185,6 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     return custom_op(y, [x, *weights], backward)
 
 
-def selective_scan_reference(x: np.ndarray, p: dict[str, Tensor]) -> np.ndarray:
-    """Scalar-loop oracle for the recurrence; intentionally unvectorized.
-
-    ``x`` is one [L, D] sequence; ``p`` holds ``selective_scan``'s tensors.
-    """
-    length, d = x.shape
-    n = p["a_log"].shape[1]
-    a = -np.exp(np.asarray(p["a_log"].data, dtype=np.float64))
-    bp = np.asarray(p["b_proj"].data, dtype=np.float64)
-    cp = np.asarray(p["c_proj"].data, dtype=np.float64)
-    dtw = np.asarray(p["dt_weight"].data, dtype=np.float64)
-    dtb = float(p["dt_bias"].data[0])
-    skip = np.asarray(p["skip_gain"].data, dtype=np.float64)
-    h = np.zeros((d, n))
-    y = np.zeros((length, d))
-    for t in range(length):
-        u = dtb
-        for i in range(d):
-            u += x[t, i] * dtw[i, 0]
-        dt = np.logaddexp(0.0, u)
-        bvec = np.zeros(n)
-        cvec = np.zeros(n)
-        for j in range(n):
-            for i in range(d):
-                bvec[j] += x[t, i] * bp[i, j]
-                cvec[j] += x[t, i] * cp[i, j]
-        for i in range(d):
-            for j in range(n):
-                h[i, j] = np.exp(dt * a[i, j]) * h[i, j] + dt * bvec[j] * x[t, i]
-                y[t, i] += cvec[j] * h[i, j]
-            y[t, i] += skip[i] * x[t, i]
-    return y
-
-
 # ---------------------------------------------------------------------------
 # scan layer and directional block
 # ---------------------------------------------------------------------------
@@ -243,7 +208,7 @@ def mamba_layer(seq: Tensor, p: dict[str, Tensor]) -> Tensor:
             f"w_in {w_in.shape}, w_out {w_out.shape}"
         )
     inner = add(matmul(seq, w_in), p["b_in"])
-    conv = conv1d_depthwise(inner, p["conv_weight"], p["conv_bias"])
+    conv = conv1d(inner, p["conv_weight"], p["conv_bias"])
     scanned = selective_scan(conv, scope(p, "ssm"))
     residual = add(matmul(seq, p["w_res"]), p["b_res"])
     return add(matmul(add(scanned, residual), w_out), p["b_out"])
@@ -260,6 +225,6 @@ def apply_direction(
     tensors under ``mamba.``.
     """
     seq = take_rows(canonical, scan_permutation(order, views, time_steps))
-    seq = relu(conv1d_same(seq, p["conv_kernel"], p["conv_bias"]))
+    seq = relu(conv1d(seq, p["conv_kernel"], p["conv_bias"]))
     seq = mamba_layer(seq, scope(p, "mamba"))
     return take_rows(seq, inverse_permutation(order, views, time_steps))

@@ -15,7 +15,9 @@ Outside a tape context operations run plain numpy with no recording, which is
 the inference/benchmark fast path.
 
 ``matmul`` is the one matrix product: a 2-D weight along the last axis of any
-stack, or equal-rank stacks pairwise.
+stack, or equal-rank stacks pairwise. ``conv1d`` is the one sequence
+convolution: a [K, D, D_out] kernel mixes channels, a [K, D] kernel filters
+each channel on its own.
 """
 
 from __future__ import annotations
@@ -313,91 +315,57 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions along the sequence axis
+# convolution along the sequence axis
 # ---------------------------------------------------------------------------
 
 
-def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
-    width = [(0, 0)] * x.ndim
-    width[-2] = (pad, pad)
-    return np.pad(x, width)
-
-
-def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Length-preserving 1-D convolution along axis -2, plus a bias.
 
-    ``x`` is [..., L, D], ``kernel`` is [K, D, D_out] with K odd, ``bias`` is
-    [D_out]; the input is zero-padded by (K-1)/2 on both ends.
+    ``x`` is [..., L, D], zero-padded by (K-1)/2 rows on both ends, K odd. A
+    ``kernel`` [K, D, D_out] mixes channels; a ``kernel`` [K, D] filters each
+    channel on its own (depthwise, D_out = D). ``bias`` is [D_out].
     """
-    k, d_in, d_out = kernel.data.shape
-    if k % 2 == 0:
-        raise ConfigurationError(f"conv1d_same kernel width must be odd, got {k}")
-    if x.data.shape[-1] != d_in:
-        raise DimensionError(
-            f"conv1d_same channel mismatch: input {x.data.shape} vs kernel {kernel.data.shape}"
+    xd, kd = x.data, kernel.data
+    if kd.ndim not in (2, 3) or kd.shape[0] % 2 == 0:
+        raise ConfigurationError(
+            f"conv1d kernel must be [K, D, D_out] or [K, D] with K odd, got {kd.shape}"
         )
-    length = x.data.shape[-2]
-    pad = (k - 1) // 2
-    xp = _pad_rows(x.data, pad)
-    out_data = np.zeros(x.data.shape[:-1] + (d_out,), dtype=x.data.dtype)
-    for j in range(k):
-        out_data += np.matmul(xp[..., j : j + length, :], kernel.data[j])
+    if xd.shape[-1] != kd.shape[1]:
+        raise DimensionError(
+            f"conv1d channel mismatch: input {xd.shape} vs kernel {kd.shape}"
+        )
+    d_in, d_out = kd.shape[1], kd.shape[-1]
+    lead = tuple(range(xd.ndim - 1))
+    if kd.ndim == 3:  # channel-mixing
+        tap = np.matmul
+        tap_grad = lambda xs, g: xs.reshape(-1, d_in).T @ g.reshape(-1, d_out)
+    else:  # depthwise
+        tap = np.multiply
+        tap_grad = lambda xs, g: (xs * g).sum(axis=lead)
+    length, pad = xd.shape[-2], kd.shape[0] // 2
+    xp = np.zeros(xd.shape[:-2] + (length + 2 * pad, xd.shape[-1]), dtype=xd.dtype)
+    xp[..., pad : pad + length, :] = xd  # np.pad costs 20x this at batch 1
+    windows = [xp[..., j : j + length, :] for j in range(kd.shape[0])]
+    out_data = np.zeros(xd.shape[:-1] + (d_out,), dtype=xd.dtype)
+    for xs, w in zip(windows, kd):
+        out_data += tap(xs, w)
     out_data += bias.data
 
     def backward(g):
         gx = gk = gb = None
         if x.requires:
             gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[..., j : j + length, :] += np.matmul(g, kernel.data[j].T)
+            for j, w in enumerate(kd):
+                gxp[..., j : j + length, :] += tap(g, w.T)  # .T of a 1-D row is the row
             gx = gxp[..., pad : pad + length, :]
         if kernel.requires:
-            gk = np.zeros_like(kernel.data)
-            gf = g.reshape(-1, d_out)
-            for j in range(k):
-                xs = xp[..., j : j + length, :].reshape(-1, d_in)
-                gk[j] = xs.T @ gf
+            gk = np.stack([tap_grad(xs, g) for xs in windows])
         if bias.requires:
-            gb = g.reshape(-1, d_out).sum(axis=0)
+            gb = g.sum(axis=lead)
         return [gx, gk, gb]
 
     return custom_op(out_data, [x, kernel, bias], backward)
-
-
-def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel length-preserving convolution: weights [K, D], bias [D], x [..., L, D]."""
-    k, d = weights.data.shape
-    if k % 2 == 0:
-        raise ConfigurationError(f"depthwise kernel width must be odd, got {k}")
-    if x.data.shape[-1] != d:
-        raise DimensionError(
-            f"depthwise channel mismatch: input {x.data.shape} vs weights {weights.data.shape}"
-        )
-    length = x.data.shape[-2]
-    pad = (k - 1) // 2
-    xp = _pad_rows(x.data, pad)
-    out_data = np.zeros_like(x.data)
-    for j in range(k):
-        out_data += xp[..., j : j + length, :] * weights.data[j]
-    out_data += bias.data
-
-    def backward(g):
-        gx = gw = gb = None
-        lead = tuple(range(g.ndim - 1))
-        if x.requires:
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[..., j : j + length, :] += g * weights.data[j]
-            gx = gxp[..., pad : pad + length, :]
-        if weights.requires:
-            gw = np.zeros_like(weights.data)
-            for j in range(k):
-                gw[j] = (xp[..., j : j + length, :] * g).sum(axis=lead)
-        if bias.requires:
-            gb = g.sum(axis=lead)
-        return [gx, gw, gb]
-
-    return custom_op(out_data, [x, weights, bias], backward)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from mvgmn.rng import Xoshiro256pp
 from mvgmn.tensor import Tensor, check_gradients
 
 from test_graph import brute_force_knn, brute_force_rule_edges, knn_edge_set, rule_edge_sets
+from test_scan import selective_scan_reference
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -91,7 +92,7 @@ def test_criterion_2_scan_kernel_against_recurrence_oracle():
         }
         x = rng.standard_normal((length, d))
         fast = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
-        slow = S.selective_scan_reference(x, ssm)
+        slow = selective_scan_reference(x, ssm)
         worst = max(worst, float(np.abs(fast - slow).max()))
 
     # analytic edges: zero step size, and a single step

@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvgmn import data as D
+from mvgmn.cli import main
 from mvgmn.errors import ConfigurationError, FormatError, InputError
 from mvgmn.rng import Xoshiro256pp
 
@@ -47,6 +49,25 @@ def test_truncated_payload_reports_counts(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(FormatError, match="expects 64 bytes, found 56"):
         D.read_feature_file(path)
+
+
+def test_dims_whose_product_overflows_int64_are_rejected(tmp_path, capsys):
+    # 2**31 * 2**31 * 4 elements: an int64 product wraps to 0
+    header = D.MAGIC + struct.pack("<HBI3I", D.VERSION, 1, 3, 2**31, 2**31, 4)
+    feature = tmp_path / "huge.mvgf"
+    feature.write_bytes(header)
+    with pytest.raises(FormatError, match="payload expects"):
+        D.read_feature_file(feature)
+    meta = b'{"kind":"mvgmn-checkpoint"}'
+    ckpt = tmp_path / "huge.mvgc"
+    ckpt.write_bytes(D.CONTAINER_MAGIC + struct.pack("<HI", D.VERSION, len(meta)) + meta
+                     + struct.pack("<IH", 1, 1) + b"w" + header)
+    with pytest.raises(FormatError, match="payload expects"):
+        D.read_tensor_container(ckpt)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "none.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "payload expects" in err and "Traceback" not in err
 
 
 def test_bad_magic_and_version(tmp_path):
@@ -117,6 +138,29 @@ def test_truncated_container_reports_offset(tmp_path):
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------
+
+
+def test_sample_segments_one_per_frame():
+    rng = Xoshiro256pp(1)
+    assert D.sample_segments(8, 8, rng) == list(range(8))
+
+
+def test_sample_segments_forced_ranges():
+    idx = D.sample_segments(16, 8, Xoshiro256pp(2))
+    for i, j in enumerate(idx):
+        assert j in (2 * i, 2 * i + 1)
+    assert idx == sorted(idx)
+
+
+def test_sample_segments_deterministic():
+    assert D.sample_segments(100, 7, Xoshiro256pp(3)) == D.sample_segments(
+        100, 7, Xoshiro256pp(3)
+    )
+
+
+def test_sample_segments_rejects_short_input():
+    with pytest.raises(InputError):
+        D.sample_segments(5, 8, Xoshiro256pp(0))
 
 
 def test_generator_deterministic(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from mvgmn import fusion as F
 from mvgmn import tensor as T
 from mvgmn.errors import ConfigurationError, InputError
-from mvgmn.rng import Xoshiro256pp
 from mvgmn.tensor import Tensor, check_gradients
 
 
@@ -32,31 +31,8 @@ def make_frame(d_sk, d_rgb, n_p, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# segment sampling and alignment
+# alignment
 # ---------------------------------------------------------------------------
-
-
-def test_sample_segments_one_per_frame():
-    rng = Xoshiro256pp(1)
-    assert F.sample_segments(8, 8, rng) == list(range(8))
-
-
-def test_sample_segments_forced_ranges():
-    idx = F.sample_segments(16, 8, Xoshiro256pp(2))
-    for i, j in enumerate(idx):
-        assert j in (2 * i, 2 * i + 1)
-    assert idx == sorted(idx)
-
-
-def test_sample_segments_deterministic():
-    assert F.sample_segments(100, 7, Xoshiro256pp(3)) == F.sample_segments(
-        100, 7, Xoshiro256pp(3)
-    )
-
-
-def test_sample_segments_rejects_short_input():
-    with pytest.raises(InputError):
-        F.sample_segments(5, 8, Xoshiro256pp(0))
 
 
 def test_align_tokens_stride_two():

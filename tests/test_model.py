@@ -165,6 +165,31 @@ def test_masked_view_produces_zero_fused_rows():
         assert np.any(grid[:, 0] != 0.0)
 
 
+@pytest.mark.parametrize("mask_view", [None, 1])
+@pytest.mark.parametrize("fusion_mode", M.FUSION_MODES)
+@pytest.mark.parametrize("aggregator", M.AGGREGATORS)
+def test_batched_forward_matches_per_sample(aggregator, fusion_mode, mask_view):
+    # sample 1 has an all-zero view, so its graph alone takes the zero-norm
+    # fallback; sample 2 has identical views, so its similarities tie exactly
+    cfg = tiny_config(aggregator=aggregator, fusion_mode=fusion_mode)
+    rgb, sk = tiny_inputs(cfg, batch=4, seed=11)
+    rgb[1, 0] = 0.0
+    sk[1, 0] = 0.0
+    rgb[2, 1] = rgb[2, 0]
+    sk[2, 1] = sk[2, 0]
+    for dtype, tol in ((np.float64, dict(rtol=1e-12, atol=1e-12)),
+                       (np.float32, dict(rtol=1e-4, atol=1e-5))):
+        state = M.init_state(cfg, seed=12, dtype=dtype)
+        fused = M.fuse_batch(state, rgb, sk, mask_view).data
+        norms = np.linalg.norm(fused.reshape(4, cfg.views, cfg.time_steps, cfg.width), axis=-1)
+        assert np.all(norms[1, 0] == 0.0)
+        assert np.all(norms[[0, 2, 3], 0] > 0.0)
+        batched = M.forward_batch(state, rgb, sk, mask_view).data
+        for i in range(4):
+            single = M.forward_batch(state, rgb[i : i + 1], sk[i : i + 1], mask_view).data
+            np.testing.assert_allclose(batched[i], single[0], **tol)
+
+
 def test_fuse_batch_rejects_mismatched_dims():
     cfg = tiny_config()
     state = M.init_state(cfg, seed=7)

@@ -44,6 +44,40 @@ def make_ssm(d, n, seed=0, dtype=np.float64, requires=True):
     }
 
 
+def selective_scan_reference(x: np.ndarray, p: dict[str, Tensor]) -> np.ndarray:
+    """Scalar-loop oracle for the recurrence; intentionally unvectorized.
+
+    ``x`` is one [L, D] sequence; ``p`` holds ``selective_scan``'s tensors.
+    """
+    length, d = x.shape
+    n = p["a_log"].shape[1]
+    a = -np.exp(np.asarray(p["a_log"].data, dtype=np.float64))
+    bp = np.asarray(p["b_proj"].data, dtype=np.float64)
+    cp = np.asarray(p["c_proj"].data, dtype=np.float64)
+    dtw = np.asarray(p["dt_weight"].data, dtype=np.float64)
+    dtb = float(p["dt_bias"].data[0])
+    skip = np.asarray(p["skip_gain"].data, dtype=np.float64)
+    h = np.zeros((d, n))
+    y = np.zeros((length, d))
+    for t in range(length):
+        u = dtb
+        for i in range(d):
+            u += x[t, i] * dtw[i, 0]
+        dt = np.logaddexp(0.0, u)
+        bvec = np.zeros(n)
+        cvec = np.zeros(n)
+        for j in range(n):
+            for i in range(d):
+                bvec[j] += x[t, i] * bp[i, j]
+                cvec[j] += x[t, i] * cp[i, j]
+        for i in range(d):
+            for j in range(n):
+                h[i, j] = np.exp(dt * a[i, j]) * h[i, j] + dt * bvec[j] * x[t, i]
+                y[t, i] += cvec[j] * h[i, j]
+            y[t, i] += skip[i] * x[t, i]
+    return y
+
+
 def nest(prefix, params):
     """``params`` keyed under ``prefix.``, as the layer that holds them reads them."""
     return {f"{prefix}.{k}": t for k, t in params.items()}
@@ -150,16 +184,16 @@ def test_embedding_conv_nonnegative_and_zero_cases():
     x = Tensor(rng.standard_normal((7, 4)))
     kernel = Tensor(rng.standard_normal((3, 4, 4)))
     bias = Tensor(np.zeros(4))
-    out = T.relu(T.conv1d_same(x, kernel, bias))
+    out = T.relu(T.conv1d(x, kernel, bias))
     assert out.data.min() >= 0.0
-    zero = T.relu(T.conv1d_same(x, Tensor(np.zeros((3, 4, 4))), bias))
+    zero = T.relu(T.conv1d(x, Tensor(np.zeros((3, 4, 4))), bias))
     np.testing.assert_array_equal(zero.data, np.zeros((7, 4)))
 
 
 def test_embedding_conv_identity_kernel_on_nonnegative_input():
     x = Tensor(np.abs(np.random.default_rng(1).standard_normal((5, 3))))
     kernel = Tensor(np.eye(3)[np.newaxis])
-    out = T.relu(T.conv1d_same(x, kernel, Tensor(np.zeros(3))))
+    out = T.relu(T.conv1d(x, kernel, Tensor(np.zeros(3))))
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -217,7 +251,7 @@ def test_scan_matches_reference_oracle(seed):
     ssm = make_ssm(d, n, seed=seed + 100, requires=False)
     x = rng.standard_normal((length, d))
     fast = S.selective_scan(Tensor(x[np.newaxis]), ssm).data[0]
-    slow = S.selective_scan_reference(x, ssm)
+    slow = selective_scan_reference(x, ssm)
     np.testing.assert_allclose(fast, slow, atol=1e-6, rtol=1e-9)
 
 
@@ -393,7 +427,7 @@ def test_backward_scan_equals_reverse_forward_reverse():
 
     seq_fwd = T.take_rows(x, S.scan_permutation("view_forward", v, t))
     rev = T.take_rows(seq_fwd, np.arange(v * t)[::-1].copy())
-    embedded = T.relu(T.conv1d_same(rev, params["conv_kernel"], params["conv_bias"]))
+    embedded = T.relu(T.conv1d(rev, params["conv_kernel"], params["conv_bias"]))
     processed = S.mamba_layer(embedded, T.scope(params, "mamba"))
     back = T.take_rows(processed, np.arange(v * t)[::-1].copy())
     manual = T.take_rows(back, S.inverse_permutation("view_forward", v, t)).data

@@ -75,39 +75,59 @@ def test_matmul_applies_a_weight_across_a_stack():
 
 
 # ---------------------------------------------------------------------------
-# conv1d_same
+# conv1d: "same" (length-preserving) padding, channel-mixing [K, D, D_out] and
+# depthwise [K, D] kernels
 # ---------------------------------------------------------------------------
 
 
 def test_conv1d_same_identity_kernel():
     x = _rand((6, 3), 1)
-    kernel = Tensor(np.eye(3)[np.newaxis, :, :])  # K=1 identity channel map
-    np.testing.assert_array_equal(T.conv1d_same(x, kernel, Tensor(np.zeros(3))).data, x.data)
+    mixing = Tensor(np.eye(3)[np.newaxis, :, :])  # K=1 identity channel map
+    depthwise = Tensor(np.ones((1, 3)))
+    for kernel in (mixing, depthwise):
+        np.testing.assert_array_equal(T.conv1d(x, kernel, Tensor(np.zeros(3))).data, x.data)
 
 
 def test_conv1d_same_sliding_sum():
     x = Tensor(np.array([[1.0], [2.0], [3.0]]))
     kernel = Tensor(np.ones((3, 1, 1)))
-    out = T.conv1d_same(x, kernel, Tensor(np.zeros(1)))
+    out = T.conv1d(x, kernel, Tensor(np.zeros(1)))
     np.testing.assert_allclose(out.data[:, 0], [3.0, 6.0, 5.0])
+    x = Tensor(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
+    out = T.conv1d(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))  # each channel alone
+    np.testing.assert_allclose(out.data, [[3.0, 30.0], [6.0, 60.0], [5.0, 50.0]])
 
 
 def test_conv1d_same_zero_input():
-    out = T.conv1d_same(Tensor(np.zeros((5, 4))), _rand((3, 4, 2), 2), Tensor(np.zeros(2)))
+    out = T.conv1d(Tensor(np.zeros((5, 4))), _rand((3, 4, 2), 2), Tensor(np.zeros(2)))
     np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
+    out = T.conv1d(Tensor(np.zeros((5, 4))), _rand((3, 4), 2), Tensor(np.zeros(4)))
+    np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
 
 
 def test_conv1d_same_even_width_rejected():
     with pytest.raises(ConfigurationError):
-        T.conv1d_same(_rand((5, 4), 0), _rand((2, 4, 4), 1), Tensor(np.zeros(4)))
+        T.conv1d(_rand((5, 4), 0), _rand((2, 4, 4), 1), Tensor(np.zeros(4)))
+    with pytest.raises(ConfigurationError):
+        T.conv1d(_rand((5, 4), 0), _rand((2, 4), 1), Tensor(np.zeros(4)))
+
+
+def test_conv1d_kernel_rank_and_channels_checked():
+    x = _rand((5, 4), 0)
+    for shape in ((3,), (3, 4, 4, 1)):
+        with pytest.raises(ConfigurationError):
+            T.conv1d(x, _rand(shape, 1), Tensor(np.zeros(4)))
+    for shape in ((3, 2, 4), (3, 2)):
+        with pytest.raises(DimensionError):
+            T.conv1d(x, _rand(shape, 1), Tensor(np.zeros(shape[-1])))
 
 
 @given(st.integers(1, 4), st.integers(1, 12), st.sampled_from([1, 3, 5, 7]))
 @settings(max_examples=30, deadline=None)
 def test_conv1d_same_preserves_length(d, length, k):
     x = _rand((length, d), 3)
-    kernel = _rand((k, d, d), 4)
-    assert T.conv1d_same(x, kernel, Tensor(np.zeros(d))).data.shape == (length, d)
+    for kernel in (_rand((k, d, d), 4), _rand((k, d), 4)):
+        assert T.conv1d(x, kernel, Tensor(np.zeros(d))).data.shape == (length, d)
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +312,19 @@ def test_matmul_gradients(b_shape):
     assert check_gradients(loss, [a, b], h=1e-5) < 1e-4
 
 
-def test_conv1d_same_gradients():
-    x = _param((5, 3), 31)
-    kernel = _param((3, 3, 2), 32)
-    bias = _param((2,), 33)
+@pytest.mark.parametrize(
+    "kernel_shape", [(3, 3, 2), (3, 3)], ids=["channel_mixing", "depthwise"]
+)
+def test_conv1d_gradients(kernel_shape):
+    x = _param((2, 5, 3), 31)
+    kernel = _param(kernel_shape, 32)
+    bias = _param(kernel_shape[-1:], 33)
 
     def loss():
-        out = T.conv1d_same(x, kernel, bias)
+        out = T.conv1d(x, kernel, bias)
         return T.sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, kernel, bias], h=1e-5) < 1e-4
-
-
-def test_conv1d_depthwise_gradients():
-    x = _param((2, 6, 3), 41)
-    w = _param((3, 3), 42)
-    bias = _param((3,), 43)
-
-    def loss():
-        out = T.conv1d_depthwise(x, w, bias)
-        return T.sum_all(T.mul(out, out))
-
-    assert check_gradients(loss, [x, w, bias], h=1e-5) < 1e-4
 
 
 def test_softmax_cross_entropy_gradients():
