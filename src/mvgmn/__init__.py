@@ -7,7 +7,7 @@ and synthetic datasets), ``train`` (SGD with plateau schedule), ``bench``
 (linear-vs-quadratic scaling), ``cli`` (command line).
 """
 
-__version__ = "0.3.0"  # set before the submodules import it
+__version__ = "0.4.0"  # set before the submodules import it
 
 from .data import SyntheticSpec, generate_synthetic, load_dataset, make_splits
 from .model import (

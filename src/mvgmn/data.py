@@ -383,6 +383,13 @@ def load_dataset(manifest_path) -> Dataset:
         spec = SyntheticSpec(**manifest["spec"])
         for sample in manifest["samples"]:
             ids.append(sample["id"])
+            for name, bound in (("label", spec.n_classes), ("subject", spec.n_subjects)):
+                value = sample[name]
+                if type(value) is not int or not 0 <= value < bound:  # bool is not int
+                    raise FormatError(
+                        f"{path}: sample {sample['id']!r}: {name} must be an integer "
+                        f"in [0, {bound}), got {value!r}"
+                    )
             labels.append(sample["label"])
             subjects.append(sample["subject"])
             rgb_views, sk_views = [], []

@@ -145,30 +145,25 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     y = yt.transpose(1, 0, 2)
 
     def backward(gy: np.ndarray):
-        gx = np.zeros_like(xb)
+        gx = gy * skip
         g_a = np.zeros_like(a_neg)
-        g_bseq = np.zeros_like(b_seq)
-        g_cseq = np.zeros_like(c_seq)
-        g_delta = np.zeros_like(delta)
+        g_bseq = np.empty_like(b_seq)
+        g_cseq = (gy[:, :, np.newaxis, :] @ hist)[:, :, 0]  # y_t reads h_t through c_t
+        g_delta = np.empty_like(delta)
         g_skip = (gy * xb).sum(axis=(0, 1))
-        gh_next = np.zeros((batch, d, n), dtype=xb.dtype)
+        gh = np.zeros((batch, d, n), dtype=xb.dtype)  # dL/dh_t, carried back from t+1
         for t in range(length - 1, -1, -1):
-            h_t = hist[:, t]
-            h_prev = hist[:, t - 1] if t > 0 else np.zeros_like(h_t)
-            dt = delta[:, t, np.newaxis, np.newaxis]
-            decay = np.exp(dt * a_neg)
-            gy_t = gy[:, t]  # [B, D]
-            g_cseq[:, t] = (gy_t[:, :, np.newaxis] * h_t).sum(axis=1)
-            gx[:, t] += gy_t * skip
-            gh = gy_t[:, :, np.newaxis] * c_seq[:, t, np.newaxis, :] + gh_next
-            g_decay = gh * h_prev
-            g_delta[:, t] += (g_decay * decay * a_neg).sum(axis=(1, 2))
-            g_a += (g_decay * decay * dt).sum(axis=0)
-            drive_core = xb[:, t, :, np.newaxis] * b_seq[:, t, np.newaxis, :]
-            g_delta[:, t] += (gh * drive_core).sum(axis=(1, 2))
-            g_bseq[:, t] = (gh * xb[:, t, :, np.newaxis]).sum(axis=1) * dt[:, :, 0]
-            gx[:, t] += (gh * b_seq[:, t, np.newaxis, :]).sum(axis=2) * dt[:, 0]
-            gh_next = gh * decay
+            dt = delta[:, t, np.newaxis]  # [B, 1]
+            gh += gy[:, t, :, np.newaxis] * c_seq[:, t, np.newaxis, :]
+            g_drive = (xb[:, t, np.newaxis, :] @ gh)[:, 0]  # dL/d(dt * b_t), [B, N]
+            g_bseq[:, t] = g_drive * dt
+            g_delta[:, t] = (g_drive * b_seq[:, t]).sum(axis=1)
+            gx[:, t] += (gh @ b_seq[:, t, :, np.newaxis])[:, :, 0] * dt
+            gh *= np.exp(dt[:, :, np.newaxis] * a_neg)  # now dL/dh_{t-1}
+            if t > 0:  # h_{-1} = 0, so step 0's decay gets no gradient
+                g_decay = (gh * hist[:, t - 1]).reshape(batch, d * n)  # dL/d(decay) * decay
+                g_delta[:, t] += g_decay @ a_neg.reshape(-1)
+                g_a += (dt.T @ g_decay).reshape(d, n)
         # step-size projection: delta = softplus(u)
         gu = g_delta * sigmoid_stable(u)
         gx += gu[:, :, np.newaxis] * dt_weight[:, 0]

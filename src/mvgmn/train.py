@@ -96,9 +96,12 @@ def worker_count() -> int:
     """Evaluation fan-out width, capped by the MVGMN_THREADS env var."""
     raw = os.environ.get("MVGMN_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        raise ConfigurationError(f"MVGMN_THREADS must be an integer, got {raw!r}") from None
+        count = 0
+    if count < 1:
+        raise ConfigurationError(f"MVGMN_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -269,6 +269,33 @@ def test_malformed_manifest_is_validation_error(dataset_dir, tmp_path, capsys, c
     assert f"error: {bad}: malformed manifest" in capsys.readouterr().err
 
 
+def test_out_of_range_label_is_validation_error(dataset_dir, tmp_path, capsys):
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    sample = next(s for s in manifest["samples"] if s["subject"] == 0)  # a training sample
+    sample["label"] = 7  # 3 classes
+    bad = dataset_dir / "broken_label.json"  # beside the feature files it names
+    bad.write_text(json.dumps(manifest))
+    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", *TINY_MODEL])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "label must be an integer in [0, 3), got 7" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_nonpositive_thread_count_is_validation_error(dataset_dir, tmp_path, capsys,
+                                                       monkeypatch, threads):
+    cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
+                                sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
+    ckpt = tmp_path / "model.mvgc"
+    model_mod.save_checkpoint(ckpt, model_mod.init_state(cfg))
+    monkeypatch.setenv("MVGMN_THREADS", threads)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir / "manifest.json")])
+    assert code == 1
+    assert f"MVGMN_THREADS must be a positive integer, got {threads!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("batch", ["0", "-1"])
 def test_eval_batch_must_be_positive(dataset_dir, tmp_path, capsys, batch):
     cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,

@@ -288,3 +288,18 @@ def test_load_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(
         ds.index_of([ds.ids[3], ds.ids[0]]), np.array([3, 0])
     )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("label", 7), ("label", -1), ("label", 2.0), ("label", True), ("subject", 99)],
+)
+def test_load_dataset_rejects_bad_label_or_subject(tmp_path, field, value):
+    spec = replace(SMALL, n_classes=3)  # 2.0 and True would pass as classes 2 and 1
+    manifest = D.generate_synthetic(spec, tmp_path)
+    sample = manifest["samples"][5]
+    sample[field] = value
+    bad = tmp_path / "bad_manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"sample {sample['id']!r}: {field} must be"):
+        D.load_dataset(bad)

@@ -259,6 +259,20 @@ def test_end_to_end_gradients_subset():
     assert check_gradients(loss, probe, h=1e-5) < 1e-4
 
 
+def test_end_to_end_gradients_every_parameter_at_batch_two():
+    # the scan backward reduces the state-matrix gradient over the batch
+    cfg = tiny_config(aggregator="mvgmn")
+    state = M.init_state(cfg, seed=9, dtype=np.float64)
+    rgb, sk = tiny_inputs(cfg, batch=2, seed=10)
+    labels = np.array([1, 2])
+
+    def loss():
+        logits = M.forward_batch(state, rgb, sk)
+        return T.softmax_cross_entropy(logits, labels)
+
+    assert check_gradients(loss, list(state.params.values()), h=1e-5) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # checkpoints and inspection
 # ---------------------------------------------------------------------------
@@ -288,7 +302,8 @@ def test_checkpoint_round_trip(tmp_path):
      ("missing_tensor", "head.bias"), ("wrong_shape", "head.bias"),
      ("float_width", "width must be an integer"),
      ("no_version", f"a version before 0.3.0; this is mvgmn {mvgmn.__version__}"),
-     ("v0_2_version", f"version 0.2.0; this is mvgmn {mvgmn.__version__}")],
+     ("v0_2_version", f"version 0.2.0; this is mvgmn {mvgmn.__version__}"),
+     ("v0_3_version", f"version 0.3.0; this is mvgmn {mvgmn.__version__}")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
@@ -299,6 +314,8 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
         del meta["version"]
     elif case == "v0_2_version":
         meta["version"] = "0.2.0"
+    elif case == "v0_3_version":
+        meta["version"] = "0.3.0"
     elif case == "unknown_config_key":
         config["dropout"] = 0.1
     elif case == "v0_1_config_key":  # a field that version 0.1.0 checkpoints carry

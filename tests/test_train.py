@@ -198,17 +198,27 @@ def test_worker_count_env(monkeypatch):
     assert TR.worker_count() == 1
     monkeypatch.setenv("MVGMN_THREADS", "4")
     assert TR.worker_count() == 4
-    monkeypatch.setenv("MVGMN_THREADS", "zero")
-    with pytest.raises(ConfigurationError):
-        TR.worker_count()
+    for raw in ("zero", "0", "-2"):
+        monkeypatch.setenv("MVGMN_THREADS", raw)
+        with pytest.raises(ConfigurationError, match=repr(raw)):
+            TR.worker_count()
 
 
 def test_threaded_evaluation_matches_serial(trainable, monkeypatch):
     dataset, splits = trainable
     state = small_state(seed=8)
     idx = dataset.index_of(splits.test_ids)
+    top1_accuracy = TR.top1_accuracy
+    seen = []
+
+    def capture(logits, labels):
+        seen.append(np.asarray(logits).tobytes())
+        return top1_accuracy(logits, labels)
+
+    monkeypatch.setattr(TR, "top1_accuracy", capture)
     monkeypatch.setenv("MVGMN_THREADS", "1")
     serial = TR.evaluate(state, dataset, idx, batch_size=4)
     monkeypatch.setenv("MVGMN_THREADS", "3")
     threaded = TR.evaluate(state, dataset, idx, batch_size=4)
     assert serial == threaded
+    assert len(seen) == 2 and seen[0] == seen[1]
