@@ -32,6 +32,7 @@ _BENCH_TAG = 0x42454E43  # "BENC"
 _MIN_SAMPLE_NS = 5_000_000
 _WARMUP = 2  # untimed calls before the probe
 _VIEWS = 4
+MIN_SLOPE_POINTS = 4  # lengths a slope fit needs
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,14 @@ def run_scaling_bench(
     """Time each aggregator's forward across the length sweep on one substrate."""
     if repeats < 5:
         raise ConfigurationError("repeats must be at least 5")
+    if not aggregators:
+        raise ConfigurationError("the sweep needs at least one aggregator")
     lengths = sorted(lengths)
-    if len(lengths) > 1 and lengths[-1] < 4 * lengths[0]:
+    if len(lengths) < MIN_SLOPE_POINTS:
+        raise ConfigurationError(
+            f"the sweep needs at least {MIN_SLOPE_POINTS} lengths for a slope fit, got {len(lengths)}"
+        )
+    if lengths[-1] < 4 * lengths[0]:
         raise ConfigurationError(
             "length sweep must span at least two doublings for a slope fit"
         )
@@ -147,8 +154,8 @@ def fit_slope(records: list[BenchRecord]) -> tuple[float, float]:
     """Least-squares slope of log(time) vs log(length), plus fit R^2."""
     if len({r.aggregator for r in records}) != 1:
         raise InputError("fit_slope expects records from a single aggregator")
-    if len(records) < 4:
-        raise InputError("fit_slope needs at least 4 length points")
+    if len(records) < MIN_SLOPE_POINTS:
+        raise InputError(f"fit_slope needs at least {MIN_SLOPE_POINTS} length points")
     x = np.log([r.length for r in records])
     y = np.log([r.median_ns for r in records])
     slope, intercept = np.polyfit(x, y, 1)

@@ -31,11 +31,9 @@ from .errors import (
 )
 from .tensor import scope
 
-_MODEL_KEYS = {
-    f.name
-    for f in dataclasses.fields(model_mod.ModelConfig)
-    if f.name not in ("views", "time_steps", "rgb_dim", "sk_dim", "patches", "n_classes")
-}
+_MODEL_KEYS = {f.name for f in dataclasses.fields(model_mod.ModelConfig)} - set(
+    model_mod.DATASET_FIELDS
+)
 _DATA_KEYS = {f.name for f in dataclasses.fields(data_mod.SyntheticSpec)}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(train_mod.TrainConfig)}
 

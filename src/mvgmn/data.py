@@ -173,19 +173,24 @@ def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
-def check_number_fields(config) -> None:
-    """Reject a config dataclass whose ``int`` or ``float`` field holds another type.
+def check_fields(config) -> None:
+    """Check every field of a config dataclass against its declared type.
 
     Config files, manifests and checkpoints are JSON, which can carry ``2.0``
-    or ``"8"`` where an integer belongs; numpy would fail on it much later.
+    or ``"8"`` where an integer belongs, or a list where a name belongs; numpy
+    or a lookup would fail on it much later. ``bool`` is not a number. Every
+    integer but ``seed`` is a count or a size, so it must be at least 1.
     """
     for f in fields(config):
         value = getattr(config, f.name)
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if f.type in ("int", int) and type(value) is not int:
+        if f.type == "int" and type(value) is not int:
             raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-        if f.type in ("float", float) and not number:
+        if f.type == "float" and (not isinstance(value, (int, float)) or isinstance(value, bool)):
             raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+        if f.type == "str" and not isinstance(value, str):
+            raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
+        if f.type == "int" and f.name != "seed" and value < 1:
+            raise ConfigurationError(f"{f.name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -209,13 +214,9 @@ class SyntheticSpec:
         return 2 * self.time_steps
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_fields(self)
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be nonnegative")
-        for name in ("views", "time_steps", "patches", "rgb_dim", "sk_dim",
-                     "n_subjects", "samples_per_class", "latent_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
         if self.n_classes < 2:
             raise ConfigurationError("n_classes must be at least 2")
 
@@ -374,35 +375,45 @@ class Dataset:
         return np.asarray([lookup[s] for s in ids], dtype=np.intp)
 
 
+def check_samples(samples: list[dict], spec: SyntheticSpec, where) -> None:
+    """Require distinct string ids, and integer labels and subjects in the spec's range.
+
+    A sample that lacks one of these keys raises ``KeyError``.
+    """
+    seen = set()
+    for sample in samples:
+        sample_id = sample["id"]
+        if type(sample_id) is not str or sample_id in seen:
+            raise FormatError(
+                f"{where}: sample {sample_id!r}: id must be a string no earlier sample has"
+            )
+        seen.add(sample_id)
+        for name, bound in (("label", spec.n_classes), ("subject", spec.n_subjects)):
+            value = sample[name]
+            if type(value) is not int or not 0 <= value < bound:  # bool is not int
+                raise FormatError(
+                    f"{where}: sample {sample_id!r}: {name} must be an integer "
+                    f"in [0, {bound}), got {value!r}"
+                )
+
+
 def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     root = path.parent
-    ids, labels, subjects, rgb_all, sk_all = [], [], [], [], []
     try:
         manifest = json.loads(path.read_text())
         spec = SyntheticSpec(**manifest["spec"])
-        for sample in manifest["samples"]:
-            ids.append(sample["id"])
-            for name, bound in (("label", spec.n_classes), ("subject", spec.n_subjects)):
-                value = sample[name]
-                if type(value) is not int or not 0 <= value < bound:  # bool is not int
-                    raise FormatError(
-                        f"{path}: sample {sample['id']!r}: {name} must be an integer "
-                        f"in [0, {bound}), got {value!r}"
-                    )
-            labels.append(sample["label"])
-            subjects.append(sample["subject"])
-            rgb_views, sk_views = [], []
-            for view in sample["views"]:
-                rgb_views.append(read_feature_file(root / view["rgb"]))
-                sk_views.append(read_feature_file(root / view["sk"]))
-            rgb_all.append(np.stack(rgb_views))
-            sk_all.append(np.stack(sk_views))
+        samples = manifest["samples"]
+        check_samples(samples, spec, path)
+        rgb_all, sk_all = [], []
+        for sample in samples:
+            rgb_all.append(np.stack([read_feature_file(root / v["rgb"]) for v in sample["views"]]))
+            sk_all.append(np.stack([read_feature_file(root / v["sk"]) for v in sample["views"]]))
         return Dataset(
             spec=spec,
-            ids=ids,
-            labels=np.asarray(labels, dtype=np.int64),
-            subjects=np.asarray(subjects, dtype=np.int64),
+            ids=[s["id"] for s in samples],
+            labels=np.asarray([s["label"] for s in samples], dtype=np.int64),
+            subjects=np.asarray([s["subject"] for s in samples], dtype=np.int64),
             rgb=np.stack(rgb_all),
             sk=np.stack(sk_all),
         )
@@ -435,6 +446,7 @@ def make_splits(manifest: dict, protocol: str) -> Splits:
         )
     spec = SyntheticSpec(**manifest["spec"])
     samples = manifest["samples"]
+    check_samples(samples, spec, "manifest")
     if protocol == "cross_subject":
         if spec.n_subjects < 2:
             raise ConfigurationError("cross_subject requires at least 2 subjects")

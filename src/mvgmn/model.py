@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import graph as graph_mod
 from . import scan as scan_mod
-from .data import SyntheticSpec, check_number_fields, read_tensor_container, write_tensor_container
+from .data import SyntheticSpec, check_fields, read_tensor_container, write_tensor_container
 from .errors import ConfigurationError, FormatError, InputError
 from .fusion import FUSION_MODES, fuse_frames, skeleton_alignment_indices
 from .rng import Xoshiro256pp, derive_seed
@@ -100,7 +100,7 @@ class ModelConfig:
         return self.views * self.time_steps
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_fields(self)
         if self.aggregator not in AGGREGATORS:
             raise ConfigurationError(
                 f"unknown aggregator {self.aggregator!r}; expected one of {AGGREGATORS}"
@@ -119,31 +119,20 @@ class ModelConfig:
             )
         if self.n_classes < 2:
             raise ConfigurationError("n_classes must be at least 2")
-        if self.knn_k < 1:
-            raise ConfigurationError(f"knn_k must be at least 1, got {self.knn_k}")
         if _UNIT_LAYOUT[self.aggregator][1] == "rule_knn" and self.knn_k > self.n_vertices - 1:
             raise ConfigurationError(
                 f"knn_k={self.knn_k} exceeds the {self.n_vertices - 1} available neighbors"
             )
-        for name in ("views", "time_steps", "width", "rgb_dim", "sk_dim", "patches",
-                     "attn_dim", "state_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
+
+
+# the ModelConfig fields that a dataset's SyntheticSpec fixes
+DATASET_FIELDS = ("views", "time_steps", "n_classes", "rgb_dim", "sk_dim", "patches")
 
 
 def config_for_dataset(spec: SyntheticSpec, **overrides) -> ModelConfig:
     """Model config whose input dims match a dataset spec."""
-    base = dict(
-        views=spec.views,
-        time_steps=spec.time_steps,
-        width=32,
-        n_classes=spec.n_classes,
-        rgb_dim=spec.rgb_dim,
-        sk_dim=spec.sk_dim,
-        patches=spec.patches,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
+    fixed = {name: getattr(spec, name) for name in DATASET_FIELDS}
+    return ModelConfig(**{**fixed, "width": 32, **overrides})
 
 
 def block_schedule(n_blocks: int, scan_mode: str) -> list[str]:

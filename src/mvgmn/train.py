@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Splits, check_number_fields
+from .data import Dataset, Splits, check_fields
 from .errors import ConfigurationError, InputError, NumericError
 from .model import ModelState, forward_batch
 from .rng import Xoshiro256pp, derive_seed
@@ -39,13 +39,9 @@ class TrainConfig:
     protocol: str = "cross_subject"
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_fields(self)
         if self.lr0 <= 0:
             raise ConfigurationError("lr0 must be positive")
-        if self.patience < 1:
-            raise ConfigurationError("patience must be at least 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigurationError("batch_size and max_epochs must be at least 1")
 
 
 class PlateauScheduler:

@@ -45,7 +45,16 @@ def test_run_scaling_bench_validation():
     with pytest.raises(ConfigurationError):
         B.run_scaling_bench(lengths=(256, 512), repeats=5)
     with pytest.raises(ConfigurationError):
-        B.run_scaling_bench(lengths=(250, 1000), repeats=5)  # not divisible by views
+        B.run_scaling_bench(lengths=(250, 500, 1000, 2000), repeats=5)  # not divisible by views
+    # a sweep with nothing to fit is refused before any timing
+    with pytest.raises(ConfigurationError, match="aggregator"):
+        B.run_scaling_bench(aggregators=(), lengths=(64, 128, 256, 512), repeats=5)
+    with pytest.raises(ConfigurationError, match="at least 4 lengths"):
+        B.run_scaling_bench(lengths=(), repeats=5)
+    with pytest.raises(ConfigurationError, match="at least 4 lengths"):
+        B.run_scaling_bench(lengths=(8, 32), repeats=5)  # spans two doublings
+    with pytest.raises(ConfigurationError, match="two doublings"):
+        B.run_scaling_bench(lengths=(256, 384, 512, 768), repeats=5)
 
 
 def test_small_sweep_records_and_outputs():
@@ -75,8 +84,8 @@ def test_median_call_ns_pins_one_core_and_restores():
 
 
 def test_repeated_runs_are_stable():
-    # timing stability gate: identical config twice, medians within 20%
-    kwargs = dict(aggregators=("ssm",), lengths=(1024,), width=8, repeats=5)
-    with_1 = B.run_scaling_bench(**kwargs)[0].median_ns
-    with_2 = B.run_scaling_bench(**kwargs)[0].median_ns
+    # timing stability gate: identical config twice, L=1024 medians within 20%
+    kwargs = dict(aggregators=("ssm",), lengths=(128, 256, 512, 1024), width=8, repeats=5)
+    with_1 = B.run_scaling_bench(**kwargs)[-1].median_ns
+    with_2 = B.run_scaling_bench(**kwargs)[-1].median_ns
     assert abs(with_1 - with_2) / max(with_1, with_2) < 0.20

@@ -105,7 +105,8 @@ def test_config_file_precedence(dataset_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, key, value",
     [("train", "model.width", 8.0), ("train", "train.batch_size", 2.0),
-     ("train", "train.lr0", "fast"), ("gen-data", "data.views", 2.0)],
+     ("train", "train.lr0", "fast"), ("gen-data", "data.views", 2.0),
+     ("train", "model.scan_mode", ["x"])],
 )
 def test_config_value_of_wrong_type_rejected(dataset_dir, tmp_path, capsys, command, key, value):
     cfg = tmp_path / "cfg.json"
@@ -168,6 +169,19 @@ def test_bench_lengths_must_be_integers(tmp_path, capsys):
     code = main(["bench", "--out", str(tmp_path / "bench"), "--lengths", "abc"])
     assert code == 1
     assert "--lengths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--aggregators", ""], "at least one aggregator"),
+     (["--lengths", ""], "at least 4 lengths"),
+     (["--lengths", "8,32"], "at least 4 lengths")],
+)
+def test_bench_refuses_a_sweep_it_cannot_fit(tmp_path, capsys, flag, message):
+    out = tmp_path / "bench"
+    assert main(["bench", "--out", str(out), "--aggregators", "ssm", *flag]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "bench.json").exists()
 
 
 @pytest.mark.parametrize("flag", [["--views", "4"], ["--seed", "0"]])
@@ -280,6 +294,24 @@ def test_out_of_range_label_is_validation_error(dataset_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "label must be an integer in [0, 3), got 7" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["list_id", "duplicate_id"])
+def test_bad_sample_id_is_validation_error(dataset_dir, tmp_path, capsys, case):
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    samples = manifest["samples"]
+    if case == "list_id":
+        samples[0]["id"] = ["x"]
+    else:
+        samples[1]["id"] = samples[0]["id"]
+    bad = dataset_dir / f"broken_{case}.json"  # beside the feature files it names
+    bad.write_text(json.dumps(manifest))
+    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", *TINY_MODEL])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "id must be a string no earlier sample has" in err
     assert "Traceback" not in err
 
 

@@ -303,3 +303,23 @@ def test_load_dataset_rejects_bad_label_or_subject(tmp_path, field, value):
     bad.write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=f"sample {sample['id']!r}: {field} must be"):
         D.load_dataset(bad)
+
+
+@pytest.mark.parametrize("case", ["list_id", "int_id", "duplicate_id"])
+@pytest.mark.parametrize("reader", ["load_dataset", "make_splits"])
+def test_sample_ids_must_be_distinct_strings(tmp_path, case, reader):
+    manifest = D.generate_synthetic(SMALL, tmp_path)
+    first = manifest["samples"][0]
+    if case == "list_id":
+        first["id"] = ["x"]
+    elif case == "int_id":
+        first["id"] = 3
+    else:
+        manifest["samples"][4]["id"] = first["id"]
+    bad = tmp_path / "bad_manifest.json"
+    bad.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="id must be a string no earlier sample has"):
+        if reader == "load_dataset":
+            D.load_dataset(bad)
+        else:
+            D.make_splits(manifest, "cross_subject")

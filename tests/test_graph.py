@@ -132,6 +132,19 @@ def test_knn_matches_brute_force(seed):
     assert knn_edge_set(G.knn_edges(x, k)) == brute_force_knn(x, k)
 
 
+@given(st.integers(1, 3), st.integers(2, 8), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_knn_matches_brute_force_under_heavy_ties(b, n, d, data):
+    # small integer features tie often; a zero row sends its graph alone to
+    # the distance fallback
+    k = data.draw(st.integers(1, n - 1))
+    cells = data.draw(st.lists(st.integers(-2, 2), min_size=b * n * d, max_size=b * n * d))
+    x = np.asarray(cells, dtype=np.float64).reshape(b, n, d)
+    nbrs = G.knn_edges(x, k)
+    for i in range(b):
+        assert knn_edge_set(nbrs[i]) == brute_force_knn(x[i], k)
+
+
 def test_knn_k_out_of_range():
     x = np.random.default_rng(1).standard_normal((4, 2))
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +9,7 @@ from mvgmn import data as D
 from mvgmn import graph as G
 from mvgmn import model as M
 from mvgmn import tensor as T
+from mvgmn import train as TR
 from mvgmn.errors import ConfigurationError, FormatError, InputError
 from mvgmn.rng import Xoshiro256pp
 from mvgmn.tensor import Tensor, check_gradients
@@ -89,6 +91,31 @@ def test_config_validation():
         tiny_config(n_classes=1)
     # non-knn aggregators do not cap k against the grid
     tiny_config(knn_k=9, aggregator="ssm")
+
+
+@pytest.mark.parametrize(
+    "make, field, value, message",
+    [(tiny_config, "scan_mode", ["x"], "scan_mode must be a string, got ['x']"),
+     (tiny_config, "aggregator", 5, "aggregator must be a string, got 5"),
+     (tiny_config, "width", True, "width must be an integer, got True"),
+     (tiny_config, "state_dim", 0, "state_dim must be at least 1, got 0"),
+     (tiny_config, "knn_k", -1, "knn_k must be at least 1, got -1"),
+     (D.SyntheticSpec, "latent_dim", 0, "latent_dim must be at least 1, got 0"),
+     (D.SyntheticSpec, "noise_sigma", False, "noise_sigma must be a number, got False"),
+     (TR.TrainConfig, "patience", 0, "patience must be at least 1, got 0"),
+     (TR.TrainConfig, "protocol", None, "protocol must be a string, got None"),
+     (TR.TrainConfig, "lr0", "fast", "lr0 must be a number, got 'fast'")],
+)
+def test_config_fields_checked_by_declared_type(make, field, value, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        make(**{field: value})
+
+
+def test_config_fields_accept_their_declared_types():
+    # seed is the one integer that may be below 1; a float field takes an int
+    D.SyntheticSpec(seed=-3, noise_sigma=0)
+    TR.TrainConfig(seed=0, lr0=np.float64(0.01))
+    tiny_config(scan_mode=np.str_("time_prioritized"))
 
 
 # ---------------------------------------------------------------------------
