@@ -178,7 +178,8 @@ def check_fields(config) -> None:
 
     Config files, manifests and checkpoints are JSON, which can carry ``2.0``
     or ``"8"`` where an integer belongs, or a list where a name belongs; numpy
-    or a lookup would fail on it much later. ``bool`` is not a number. Every
+    or a lookup would fail on it much later. ``bool`` is not a number, and a
+    number must be finite (JSON readers accept NaN and Infinity). Every
     integer but ``seed`` is a count or a size, so it must be at least 1.
     """
     for f in fields(config):
@@ -187,6 +188,8 @@ def check_fields(config) -> None:
             raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if f.type == "float" and (not isinstance(value, (int, float)) or isinstance(value, bool)):
             raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+        if f.type == "float" and not -math.inf < value < math.inf:  # NaN fails too
+            raise ConfigurationError(f"{f.name} must be a finite number, got {value}")
         if f.type == "str" and not isinstance(value, str):
             raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
         if f.type == "int" and f.name != "seed" and value < 1:

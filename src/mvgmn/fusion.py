@@ -2,29 +2,20 @@
 
 Each frame carries one skeleton-derived token and a set of RGB patch tokens.
 The default mode projects the skeleton token to a query that attends over the
-projected patches; ablation variants are mean fusion (average of a projected
-skeleton token and the mean projected patch) and linear fusion (a single
-learned map over the concatenated skeleton token and mean patch). All frames
-fuse at once: patches project as one ``matmul`` of the [F, P, D_rgb] stack.
+projected patches: one ``tensor.attention`` call over all frames, with one
+query row per frame. Ablation variants are mean fusion (average of a
+projected skeleton token and the mean projected patch) and linear fusion (a
+single learned map over the concatenated skeleton token and mean patch). All
+frames fuse at once: patches project as one ``matmul`` of the [F, P, D_rgb]
+stack.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, InputError
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    matmul,
-    mean_axis,
-    mul,
-    reshape,
-    softmax_rows,
-)
+from .tensor import Tensor, add, attention, concat, matmul, mean_axis, mul, reshape
 
 FUSION_MODES = ("cross_attention", "mean", "linear")
 
@@ -36,20 +27,6 @@ def skeleton_alignment_indices(t_sk: int, t_rgb: int) -> np.ndarray:
             f"skeleton count {t_sk} is not an integer multiple of RGB count {t_rgb}"
         )
     return np.arange(t_rgb) * (t_sk // t_rgb)
-
-
-def cross_attention_pool(query: Tensor, keys: Tensor, values: Tensor) -> Tensor:
-    """Scaled dot-product pooling of value rows, batched over frames.
-
-    ``query`` is [F, d_k], ``keys`` [F, P, d_k], ``values`` [F, P, D]; each
-    frame's attention weights are a softmax over its P patch scores.
-    """
-    f, d_k = query.shape
-    scores = matmul(keys, reshape(query, (f, d_k, 1)))  # [F, P, 1]
-    scores = mul(reshape(scores, (f, keys.shape[1])), 1.0 / math.sqrt(d_k))
-    weights = softmax_rows(scores)  # [F, P]
-    pooled = matmul(reshape(weights, (f, 1, keys.shape[1])), values)
-    return reshape(pooled, (f, values.shape[2]))
 
 
 def fuse_frames(sk_tokens: Tensor, patches: Tensor, mode: str, p: dict[str, Tensor]) -> Tensor:
@@ -71,10 +48,10 @@ def fuse_frames(sk_tokens: Tensor, patches: Tensor, mode: str, p: dict[str, Tens
     if patches.shape[1] < 1:
         raise InputError("each frame needs at least one RGB patch")
     if mode == "cross_attention":
-        query = matmul(sk_tokens, p["w_query"])
-        keys = matmul(patches, p["w_key"])
-        values = matmul(patches, p["w_value"])
-        return cross_attention_pool(query, keys, values)
+        f = sk_tokens.shape[0]
+        query = matmul(reshape(sk_tokens, (f, 1, sk_tokens.shape[1])), p["w_query"])
+        pooled = attention(query, matmul(patches, p["w_key"]), matmul(patches, p["w_value"]))
+        return reshape(pooled, (f, pooled.shape[2]))
     mean_patch = mean_axis(patches, axis=1)  # [F, D_rgb]
     if mode == "mean":
         projected_sk = matmul(sk_tokens, p["w_skeleton"])

@@ -3,7 +3,8 @@
 An aggregator names what happens inside each scheduled unit:
 
     linear           per-vertex linear map, no cross-vertex interaction
-    attention        residual self-attention over all V*T vertices (quadratic)
+    attention        residual self-attention over all V*T vertices (quadratic),
+                     one ``tensor.attention`` call per unit
     ssm              directional selective-scan layers (linear in V*T)
     gcn_rule         per-vertex linear + graph conv over rule edges
     gcn_rule_knn     per-vertex linear + graph conv over rule and KNN edges
@@ -32,18 +33,7 @@ from .errors import ConfigurationError, FormatError, InputError
 from .fusion import FUSION_MODES, fuse_frames, skeleton_alignment_indices
 from .rng import Xoshiro256pp, derive_seed
 from .scan import SCAN_MODES
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    matmul,
-    mean_axis,
-    mul,
-    reshape,
-    scope,
-    softmax_rows,
-    swap_last,
-)
+from .tensor import Tensor, add, attention, concat, matmul, mean_axis, mul, reshape, scope
 
 AGGREGATORS = (
     "linear",
@@ -323,15 +313,9 @@ def fuse_batch(
 
 
 def _self_attention(state: ModelState, unit: int, x: Tensor) -> Tensor:
-    p = state.params
-    pre = f"unit{unit:02d}.attn"
-    d = state.config.width
-    q = mul(matmul(x, p[f"{pre}.w_query"]), 1.0 / math.sqrt(d))
-    k = matmul(x, p[f"{pre}.w_key"])
-    v = matmul(x, p[f"{pre}.w_value"])
-    weights = softmax_rows(matmul(q, swap_last(k)))  # [B, n, n]
-    ctx = matmul(weights, v)
-    return add(x, matmul(ctx, p[f"{pre}.w_out"]))
+    p = scope(state.params, f"unit{unit:02d}.attn")
+    ctx = attention(matmul(x, p["w_query"]), matmul(x, p["w_key"]), matmul(x, p["w_value"]))
+    return add(x, matmul(ctx, p["w_out"]))
 
 
 def _graph_stage(state: ModelState, unit: int, x: Tensor, edge_kind: str) -> Tensor:

@@ -15,13 +15,15 @@ Outside a tape context operations run plain numpy with no recording, which is
 the inference/benchmark fast path.
 
 ``matmul`` is the one matrix product: a 2-D weight along the last axis of any
-stack, or equal-rank stacks pairwise. ``conv1d`` is the one sequence
-convolution: a [K, D, D_out] kernel mixes channels, a [K, D] kernel filters
-each channel on its own.
+stack, or equal-rank stacks pairwise. ``attention`` is the one softmax-weighted
+product, softmax(q kᵀ / √d_k) v, that self-attention and cross-attention
+fusion both call. ``conv1d`` is the one sequence convolution: a [K, D, D_out]
+kernel mixes channels, a [K, D] kernel filters each channel on its own.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -219,12 +221,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return custom_op((rows @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), [a, b], backward)
 
 
-def swap_last(a: Tensor) -> Tensor:
-    return custom_op(
-        np.swapaxes(a.data, -1, -2).copy(), [a], lambda g: [np.swapaxes(g, -1, -2)]
-    )
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     return custom_op(a.data.reshape(shape), [a], lambda g: [g.reshape(a.data.shape)])
 
@@ -281,15 +277,45 @@ def mean_axis(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction.
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention, softmax(q kᵀ / √d_k) v, as one op.
 
-    Allocates a single output array (rows can be benchmark-sized).
+    ``q`` is [..., M, d_k], ``k`` [..., P, d_k] and ``v`` [..., P, D], with
+    equal leading axes; the softmax runs over the P keys of each query row.
+    The backward reads only the [..., M, P] weights, the scaled queries and
+    the inputs.
     """
-    p = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return custom_op(p, [a], lambda g: [p * (g - (g * p).sum(axis=-1, keepdims=True))])
+    qd, kd, vd = q.data, k.data, v.data
+    if not qd.ndim == kd.ndim == vd.ndim >= 2:
+        raise DimensionError(
+            f"attention expects equal-rank q, k, v, got {qd.shape}, {kd.shape}, {vd.shape}"
+        )
+    if qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2] or not (
+        qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]
+    ):
+        raise DimensionError(
+            f"attention shapes do not compose: q {qd.shape}, k {kd.shape}, v {vd.shape}"
+        )
+    scale = 1.0 / math.sqrt(qd.shape[-1])  # a Python float keeps float32 float32
+    qs = qd * scale
+    w = qs @ np.swapaxes(kd, -1, -2)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g_s = None
+        if q.requires or k.requires:  # d(loss)/d(weights), made d(loss)/d(scores) in place
+            g_s = g @ np.swapaxes(vd, -1, -2)
+            g_s -= (g_s * w).sum(axis=-1, keepdims=True)
+            g_s *= w
+        return [
+            (g_s @ kd) * scale if q.requires else None,
+            np.swapaxes(np.swapaxes(qs, -1, -2) @ g_s, -1, -2) if k.requires else None,
+            np.swapaxes(w, -1, -2) @ g if v.requires else None,
+        ]
+
+    return custom_op(w @ vd, [q, k, v], backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

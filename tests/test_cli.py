@@ -297,6 +297,20 @@ def test_out_of_range_label_is_validation_error(dataset_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("gen-data", "--sigma", "nan"), ("train", "--lr", "inf"), ("train", "--lr", "nan")],
+)
+def test_non_finite_number_is_validation_error(dataset_dir, tmp_path, capsys, command, flag, value):
+    data = ["--data", str(dataset_dir / "manifest.json"), *TINY_MODEL] if command == "train" else []
+    code = main([command, *data, "--out", str(tmp_path / "r"), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"must be a finite number, got {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("case", ["list_id", "duplicate_id"])
 def test_bad_sample_id_is_validation_error(dataset_dir, tmp_path, capsys, case):
     manifest = json.loads((dataset_dir / "manifest.json").read_text())

@@ -80,14 +80,15 @@ def test_single_patch_ignores_query():
 
 
 def test_scalar_attention_hand_oracle():
-    # post-projection Q=[1], K rows [1],[0], V rows [2],[4]:
-    # weights = softmax([1, 0]) -> 0.7311*2 + 0.2689*4 = 2.5379
-    out = F.cross_attention_pool(
-        Tensor([[1.0]]),
+    # post-projection Q=[1], K rows [1],[0], V rows [2],[4], one frame, as
+    # fuse_frames calls attention: weights = softmax([1, 0]) ->
+    # 0.7311*2 + 0.2689*4 = 2.5379
+    out = T.attention(
+        Tensor([[[1.0]]]),
         Tensor([[[1.0], [0.0]]]),
         Tensor([[[2.0], [4.0]]]),
     )
-    np.testing.assert_allclose(out.data, [[2.5379]], atol=1e-3)
+    np.testing.assert_allclose(out.data, [[[2.5379]]], atol=1e-3)
 
 
 def test_attention_invariant_to_patch_permutation():
@@ -102,10 +103,10 @@ def test_attention_invariant_to_patch_permutation():
 def test_attention_weights_sum_to_one():
     params = make_params(3, 4, 2, 5, seed=8)
     sk, patches = make_frame(3, 4, 5, seed=9)
-    q = sk.data[0] @ params["w_query"].data
-    k = patches.data[0] @ params["w_key"].data
-    scores = (k @ q) / np.sqrt(2.0)
-    w = T.softmax_rows(Tensor(scores[None, :])).data
+    q = sk.data @ params["w_query"].data  # [1, d_k]
+    k = patches.data[0] @ params["w_key"].data  # [5, d_k]
+    w = T.attention(Tensor(q), Tensor(k), Tensor(np.eye(5))).data  # v = I: the weights
+    assert w.shape == (1, 5)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(w >= 0) and np.all(w <= 1)
 

@@ -104,7 +104,11 @@ def test_config_validation():
      (D.SyntheticSpec, "noise_sigma", False, "noise_sigma must be a number, got False"),
      (TR.TrainConfig, "patience", 0, "patience must be at least 1, got 0"),
      (TR.TrainConfig, "protocol", None, "protocol must be a string, got None"),
-     (TR.TrainConfig, "lr0", "fast", "lr0 must be a number, got 'fast'")],
+     (TR.TrainConfig, "lr0", "fast", "lr0 must be a number, got 'fast'"),
+     (TR.TrainConfig, "lr0", float("nan"), "lr0 must be a finite number, got nan"),
+     (TR.TrainConfig, "lr0", float("inf"), "lr0 must be a finite number, got inf"),
+     (D.SyntheticSpec, "noise_sigma", float("nan"), "noise_sigma must be a finite number, got nan"),
+     (D.SyntheticSpec, "noise_sigma", float("inf"), "noise_sigma must be a finite number, got inf")],
 )
 def test_config_fields_checked_by_declared_type(make, field, value, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -330,7 +334,8 @@ def test_checkpoint_round_trip(tmp_path):
      ("float_width", "width must be an integer"),
      ("no_version", f"a version before 0.3.0; this is mvgmn {mvgmn.__version__}"),
      ("v0_2_version", f"version 0.2.0; this is mvgmn {mvgmn.__version__}"),
-     ("v0_3_version", f"version 0.3.0; this is mvgmn {mvgmn.__version__}")],
+     ("v0_3_version", f"version 0.3.0; this is mvgmn {mvgmn.__version__}"),
+     ("v0_4_version", f"version 0.4.0; this is mvgmn {mvgmn.__version__}")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
@@ -343,6 +348,8 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
         meta["version"] = "0.2.0"
     elif case == "v0_3_version":
         meta["version"] = "0.3.0"
+    elif case == "v0_4_version":
+        meta["version"] = "0.4.0"
     elif case == "unknown_config_key":
         config["dropout"] = 0.1
     elif case == "v0_1_config_key":  # a field that version 0.1.0 checkpoints carry

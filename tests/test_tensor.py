@@ -131,23 +131,33 @@ def test_conv1d_same_preserves_length(d, length, k):
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# attention: softmax(q kᵀ / √d_k) v
 # ---------------------------------------------------------------------------
 
 
+def softmax_weights(logits):
+    """Row softmax of [M, P] logits, read off ``attention`` with v = I_P.
+
+    With d_k = 16 the scale is 1/4 and the keys 4·I make q kᵀ/√d_k equal the
+    logits exactly, so the weights are the softmax of the logits themselves.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    m, p = logits.shape
+    q = np.zeros((m, 16))
+    q[:, :p] = logits
+    return T.attention(Tensor(q), Tensor(4.0 * np.eye(p, 16)), Tensor(np.eye(p))).data
+
+
 def test_softmax_symmetry():
-    out = T.softmax_rows(Tensor([[0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+    np.testing.assert_allclose(softmax_weights([[0.0, 0.0]]), [[0.5, 0.5]])
 
 
 def test_softmax_two_logits():
-    out = T.softmax_rows(Tensor([[1.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[0.7311, 0.2689]], atol=1e-4)
+    np.testing.assert_allclose(softmax_weights([[1.0, 0.0]]), [[0.7311, 0.2689]], atol=1e-4)
 
 
 def test_softmax_large_logit_no_overflow():
-    out = T.softmax_rows(Tensor([[1000.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(softmax_weights([[1000.0, 0.0]]), [[1.0, 0.0]], atol=1e-12)
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.floats(-50, 50))
@@ -155,11 +165,35 @@ def test_softmax_large_logit_no_overflow():
 def test_softmax_rows_sum_to_one_and_shift_invariant(m, n, shift):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((m, n)) * 5
-    p = T.softmax_rows(Tensor(x)).data
+    p = softmax_weights(x)
     np.testing.assert_allclose(p.sum(axis=-1), np.ones(m), atol=1e-9)
     assert np.all(p >= 0) and np.all(p <= 1)
-    p_shift = T.softmax_rows(Tensor(x + shift)).data
+    p_shift = softmax_weights(x + shift)
     np.testing.assert_allclose(p, p_shift, atol=1e-9)
+
+
+def test_attention_records_one_tape_op():
+    q, k, v = _param((2, 3, 4), 81), _param((2, 5, 4), 82), _param((2, 5, 3), 83)
+    with GradTape() as tape:
+        out = T.attention(q, k, v)
+        assert len(tape) == 1 and out.requires
+    scores = q.data @ np.swapaxes(k.data, -1, -2) / 2.0  # √d_k = 2
+    weights = np.exp(scores) / np.exp(scores).sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(out.data, weights @ v.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q_shape, k_shape, v_shape",
+    [((3, 4), (5, 3), (5, 2)),  # d_k differs
+     ((3, 4), (5, 4), (6, 2)),  # P differs
+     ((2, 3, 4), (3, 5, 4), (3, 5, 2)),  # leading axes differ
+     ((3, 4), (2, 5, 4), (2, 5, 2)),  # ranks differ
+     ((4,), (4,), (4,))],  # no row axis
+    ids=["d_k", "keys_vs_values", "leading_axes", "rank", "vectors"],
+)
+def test_attention_shape_mismatch_raises(q_shape, k_shape, v_shape):
+    with pytest.raises(DimensionError):
+        T.attention(_rand(q_shape, 0), _rand(k_shape, 1), _rand(v_shape, 2))
 
 
 def test_softmax_cross_entropy_uniform_gradient():
@@ -261,7 +295,7 @@ def test_float32_preserved_through_ops():
     x = Tensor(np.ones((3, 3), dtype=np.float32))
     y = T.relu(T.add(T.matmul(x, x), Tensor(np.ones(3, dtype=np.float32))))
     assert y.data.dtype == np.float32
-    assert T.softmax_rows(y).data.dtype == np.float32
+    assert T.attention(y, y, y).data.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +307,7 @@ OPS = {
     "mul_broadcast": lambda p, x: T.mul(p, x),
     "matmul_left": lambda p, x: T.matmul(p, T.reshape(x, (3, 4))),
     "relu": lambda p, x: T.relu(T.mul(p, x)),
-    "softmax": lambda p, x: T.softmax_rows(T.mul(p, x)),
     "mean_axis": lambda p, x: T.mean_axis(T.mul(p, x), axis=0),
-    "swap_last": lambda p, x: T.swap_last(T.mul(p, x)),
     "take_rows": lambda p, x: T.take_rows(T.mul(p, x), [2, 0, 3, 1]),
     "concat": lambda p, x: T.concat([T.mul(p, 2.0), T.mul(p, x)], axis=1),
     "concat_three_axis0": lambda p, x: T.concat([p, T.mul(p, x), T.mul(p, 3.0)], axis=0),
@@ -310,6 +342,30 @@ def test_matmul_gradients(b_shape):
         return T.sum_all(T.matmul(a, b))
 
     assert check_gradients(loss, [a, b], h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "q_shape, k_shape, v_shape, requires",
+    [((3, 4), (5, 4), (5, 2), (True, True, True)),
+     ((2, 3, 4), (2, 5, 4), (2, 5, 3), (True, True, True)),
+     ((6, 1, 4), (6, 3, 4), (6, 3, 2), (True, True, True)),  # one query a frame, as in fusion
+     ((3, 4), (5, 4), (5, 2), (False, False, True))],
+    ids=["q_k_v", "batched", "single_query", "values_only"],
+)
+def test_attention_gradients(q_shape, k_shape, v_shape, requires):
+    q, k, v = (
+        Tensor(np.random.default_rng(seed).standard_normal(shape), requires_grad=r)
+        for seed, shape, r in zip((41, 42, 43), (q_shape, k_shape, v_shape), requires)
+    )
+    params = [t for t in (q, k, v) if t.requires]
+
+    def loss():
+        out = T.attention(q, k, v)
+        return T.sum_all(T.mul(out, out))
+
+    assert check_gradients(loss, params, h=1e-5) < 1e-4
+    # check_gradients clears the parameters' gradients; a constant never gets one
+    assert all(t.grad is None for t in (q, k, v))
 
 
 @pytest.mark.parametrize(
