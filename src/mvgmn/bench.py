@@ -5,8 +5,9 @@ data loading in the timed region) on a fixed view count with the time axis
 swept, so the vertex count L = V*T grows geometrically. A log-log slope fit
 over the sweep separates linear-time scan aggregation from the quadratic
 self-attention baseline. ``median_call_ns`` is the one timer, for any call:
-medians of repeated runs after warmup, with the collector paused and the
-process pinned to one core where the platform allows it.
+medians of repeated runs after warmup on the calling thread's CPU clock,
+with the collector paused and the process pinned to one core where the
+platform allows it.
 """
 
 from __future__ import annotations
@@ -83,15 +84,18 @@ def _bench_state(aggregator: str, length: int, width: int) -> ModelState:
 def median_call_ns(call, repeats: int) -> int:
     """Median time of one ``call()`` in ns; auto-batches calls when one is too fast.
 
-    Runs pinned to one core. Garbage collection is paused inside the timed
-    region so collector pauses do not masquerade as the call's cost.
+    Runs pinned to one core and reads the calling thread's CPU clock, not the
+    wall clock: time the core spends on other processes is not charged to the
+    call. (The process clock would charge a BLAS worker spin-waiting on
+    another core.) Garbage collection is paused inside the timed region so
+    collector pauses do not masquerade as the call's cost.
     """
     with pin_to_one_core():
         for _ in range(_WARMUP):
             call()
-        probe_start = time.perf_counter_ns()
+        probe_start = time.thread_time_ns()
         call()
-        probe = max(time.perf_counter_ns() - probe_start, 1)
+        probe = max(time.thread_time_ns() - probe_start, 1)
         inner = max(1, math.ceil(_MIN_SAMPLE_NS / probe))
         samples = []
         gc_was_enabled = gc.isenabled()
@@ -99,10 +103,10 @@ def median_call_ns(call, repeats: int) -> int:
         gc.disable()
         try:
             for _ in range(repeats):
-                start = time.perf_counter_ns()
+                start = time.thread_time_ns()
                 for _ in range(inner):
                     call()
-                samples.append((time.perf_counter_ns() - start) / inner)
+                samples.append((time.thread_time_ns() - start) / inner)
                 gc.collect()
         finally:
             if gc_was_enabled:
