@@ -15,9 +15,11 @@ from __future__ import annotations
 import gc
 import math
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -60,6 +62,42 @@ def pin_to_one_core():
     finally:
         if cores is not None:
             os.sched_setaffinity(0, cores)
+
+
+def _git_sha() -> str | None:
+    """HEAD's commit read from the source checkout's .git; None outside a clone."""
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).exists():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def environment() -> dict:
+    """What a timing depends on beyond the code: interpreter, numpy, BLAS, cores."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        affinity = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        affinity = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "nproc": os.cpu_count(),
+        "affinity": affinity,
+        "MVGMN_THREADS": os.environ.get("MVGMN_THREADS"),
+        "git_sha": _git_sha(),
+    }
 
 
 def _bench_state(aggregator: str, length: int, width: int) -> ModelState:
@@ -171,7 +209,7 @@ def fit_slope(records: list[BenchRecord]) -> tuple[float, float]:
 
 
 def summarize(records: list[BenchRecord]) -> dict:
-    """JSON-ready summary with per-aggregator fitted slopes."""
+    """JSON-ready summary with per-aggregator fitted slopes and the environment."""
     by_agg: dict[str, list[BenchRecord]] = {}
     for r in records:
         by_agg.setdefault(r.aggregator, []).append(r)
@@ -179,4 +217,4 @@ def summarize(records: list[BenchRecord]) -> dict:
     for agg, rows in by_agg.items():
         slope, r2 = fit_slope(rows)
         slopes[agg] = {"slope": round(slope, 4), "r2": round(r2, 6)}
-    return {"records": [asdict(r) for r in records], "slopes": slopes}
+    return {"records": [asdict(r) for r in records], "slopes": slopes, "env": environment()}

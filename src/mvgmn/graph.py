@@ -4,10 +4,13 @@ Vertices are (view, time) cells of the feature grid, numbered canonically as
 v*T + t. A graph is a boolean adjacency array, batched over leading axes.
 Rule edges connect all same-view different-time pairs and all same-time
 different-view pairs: the masks I_V⊗(J_T−I_T) and (J_V−I_V)⊗I_T. KNN edges
-connect each vertex to its k most similar vertices by cosine similarity (ties
-toward the lower index; if any embedding row of a graph has zero norm, that
-graph falls back to negative Euclidean distance, since cosine and distance
-scores cannot be ranked together).
+connect each vertex to its k most similar vertices by cosine similarity (if
+any embedding row of a graph has zero norm, that graph falls back to negative
+Euclidean distance, since cosine and distance scores cannot be ranked
+together). The top k are selected by partition, not by sorting every row:
+each row's k-th score bounds a few candidates, ties at the k-th place
+included, and those alone are ordered by (score, lower index). The result
+equals a stable descending sort of the whole row cut at k.
 
 Propagation is symmetric-normalized graph convolution over the self-looped
 union adjacency: relu(D^-1/2 (A + I) D^-1/2 X W), where D is the degree
@@ -62,14 +65,32 @@ def similarity_matrix(features: np.ndarray) -> np.ndarray:
 
 
 def knn_edges(features: np.ndarray, k: int) -> np.ndarray:
-    """Indices [..., n, k] of each vertex's k most-similar other vertices."""
+    """Indices [..., n, k] of each vertex's k most-similar other vertices.
+
+    Ordered by descending similarity, ties toward the lower index. Raises
+    ``InputError`` for NaN or infinite features, and for a row left with
+    fewer than k finite scores (finite features whose products overflow).
+    """
     n = features.shape[-2]
     if not 1 <= k <= n - 1:
         raise ConfigurationError(f"knn_k must lie in [1, {n - 1}], got {k}")
-    sims = similarity_matrix(features)
-    sims[..., np.arange(n), np.arange(n)] = -np.inf
-    # stable sort on descending similarity breaks ties toward lower index
-    return np.argsort(-sims, axis=-1, kind="stable")[..., :k]
+    if not np.isfinite(features).all():
+        raise InputError("KNN features must be finite")
+    # negated in place: ascending order is descending similarity, self last
+    neg = similarity_matrix(features)
+    np.negative(neg, out=neg)
+    neg[..., np.arange(n), np.arange(n)] = np.inf
+    scores = neg.reshape(-1, n)
+    kth = np.partition(scores, k - 1, axis=-1)[:, k - 1 : k]
+    if not np.isfinite(kth).all():
+        raise InputError(f"fewer than {k} finite KNN similarities in a row: features overflow")
+    # candidates, as flat indices: every score as good as the k-th, ties included
+    cand = np.flatnonzero(scores <= kth)
+    row = cand // n
+    # lexsort is stable: by (row, score), equal scores keep index order
+    order = np.lexsort((scores.take(cand), row))
+    first = np.searchsorted(row, np.arange(len(scores)))  # each row's best candidate
+    return (cand[order[first[:, None] + np.arange(k)]] % n).reshape(neg.shape[:-1] + (k,))
 
 
 def build_graph(views: int, time_steps: int, features: np.ndarray, k: int) -> np.ndarray:

@@ -72,6 +72,12 @@ def test_small_sweep_records_and_outputs():
         "aggregator": "ssm", "length": 64, "median_ns": records[0].median_ns, "repeats": 5,
     }
     assert len(summary["records"]) == 4
+    env = summary["env"]
+    assert set(env) == {
+        "python", "numpy", "blas", "nproc", "affinity", "MVGMN_THREADS", "git_sha",
+    }
+    assert env["numpy"] == np.__version__ and env["nproc"] == os.cpu_count()
+    assert env["git_sha"] is None or len(env["git_sha"]) == 40
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")

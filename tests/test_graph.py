@@ -62,6 +62,14 @@ def rule_edge_sets(v, t):
     return tuple(pair_set(m) for m in G.rule_edges(v, t))
 
 
+def sorted_knn(x, k):
+    """Oracle: a stable sort of every row's descending similarities, cut at k."""
+    sims = G.similarity_matrix(x)
+    n = sims.shape[-1]
+    sims[..., np.arange(n), np.arange(n)] = -np.inf
+    return np.argsort(-sims, axis=-1, kind="stable")[..., :k]
+
+
 def knn_edge_set(nbrs):
     """Directed edges (i, j) of one graph's [n, k] neighbour indices."""
     return {(i, int(j)) for i, row in enumerate(nbrs) for j in row}
@@ -143,6 +151,85 @@ def test_batched_knn_matches_brute_force_under_heavy_ties(b, n, d, data):
     nbrs = G.knn_edges(x, k)
     for i in range(b):
         assert knn_edge_set(nbrs[i]) == brute_force_knn(x[i], k)
+
+
+@given(st.integers(1, 3), st.integers(2, 9), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_knn_edges_equal_the_stable_sort_oracle(b, n, d, data):
+    # whole index arrays, order included: small integer features tie across
+    # the k-th place, copied rows are exact duplicates (scoring -0.0 apart in
+    # a distance-fallback graph), and a zero row sends its graph alone to the
+    # distance fallback
+    k = data.draw(st.sampled_from((1, n - 1)) | st.integers(1, n - 1), label="k")
+    dtype = data.draw(st.sampled_from((np.float32, np.float64)), label="dtype")
+    cells = data.draw(st.lists(st.integers(-2, 2), min_size=b * n * d, max_size=b * n * d))
+    x = np.asarray(cells, dtype=dtype).reshape(b, n, d)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for src, dst in data.draw(st.lists(pairs, max_size=3), label="duplicates"):
+        x[:, dst] = x[:, src]
+    x[x.any(axis=-1) == 0] = 1.0  # no zero rows but the one drawn below
+    zero = data.draw(st.none() | st.tuples(st.integers(0, b - 1), st.integers(0, n - 1)))
+    if zero is not None:
+        x[zero] = 0.0
+    got = G.knn_edges(x, k)
+    assert got.shape == (b, n, k)
+    np.testing.assert_array_equal(got, sorted_knn(x, k))
+
+
+def test_knn_ties_straddling_the_kth_place_go_to_the_lower_index():
+    # vertex 0 scores 1 against vertices 1-4 and less against 5: k=2 keeps the
+    # lowest two of the four tied at the k-th place
+    x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [1.0, 0.0], [4.0, 0.0], [1.0, 1.0]])
+    got = G.knn_edges(x, 2)
+    np.testing.assert_array_equal(got, sorted_knn(x, 2))
+    np.testing.assert_array_equal(got[0], [1, 2])
+    np.testing.assert_array_equal(got[4], [0, 1])
+
+
+@given(st.integers(1, 2), st.integers(2, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_knn_signed_zero_scores_tie(b, n, data):
+    # features never score -0.0 against +0.0 in one row (a BLAS sum starts at
+    # +0.0), so the selection gets such scores directly: they compare equal
+    # and rank by index alone
+    k = data.draw(st.integers(1, n - 1), label="k")
+    cells = data.draw(st.lists(st.sampled_from((-0.0, 0.0, 0.5, -1.0)), min_size=b * n * n,
+                               max_size=b * n * n))
+    scores = np.asarray(cells).reshape(b, n, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "similarity_matrix", lambda features: scores.copy())
+        np.testing.assert_array_equal(G.knn_edges(scores, k), sorted_knn(scores, k))
+
+
+def test_knn_edges_equal_the_oracle_at_long_sequence_size():
+    # n = 512: a random graph and a heavily tied (rounded) one, in one batch
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, 512, 16)).astype(np.float32)
+    x[1] = np.round(x[1])
+    x[1, x[1].any(axis=-1) == 0] = 1.0
+    for k in (1, 3, 511):
+        np.testing.assert_array_equal(G.knn_edges(x, k), sorted_knn(x, k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_non_finite_features(bad):
+    x = np.random.default_rng(4).standard_normal((2, 6, 3))
+    x[1, 4] = bad
+    with pytest.raises(InputError, match="finite"):
+        G.knn_edges(x, 2)
+    with pytest.raises(InputError, match="finite"):
+        G.build_graph(2, 3, x, 2)
+
+
+def test_knn_rejects_rows_whose_similarities_overflow():
+    # two rows near 1e200 score NaN against each other, leaving each with
+    # n - 2 finite scores: enough for k = n - 2, too few for k = n - 1
+    x = np.random.default_rng(4).standard_normal((6, 3))
+    x[4:] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(G.knn_edges(x, 4), sorted_knn(x, 4))
+        with pytest.raises(InputError, match="overflow"):
+            G.knn_edges(x, 5)
 
 
 def test_knn_k_out_of_range():
