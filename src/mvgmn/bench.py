@@ -4,10 +4,10 @@ Times aggregator-only forward passes (pre-fused random grids, no fusion or
 data loading in the timed region) on a fixed view count with the time axis
 swept, so the vertex count L = V*T grows geometrically. A log-log slope fit
 over the sweep separates linear-time scan aggregation from the quadratic
-self-attention baseline. ``median_call_ns`` is the one timer, for any call:
+self-attention baseline. ``median_call_ns`` is the one timer, for any calls:
 medians of repeated runs after warmup on the calling thread's CPU clock,
-with the collector paused and the process pinned to one core where the
-platform allows it.
+sampled round-robin across the calls, with the collector paused and the
+process pinned to one core where the platform allows it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,8 +120,13 @@ def _bench_state(aggregator: str, length: int, width: int) -> ModelState:
     return init_state(config, seed=0, dtype=np.float32)
 
 
-def median_call_ns(call, repeats: int) -> int:
-    """Median time of one ``call()`` in ns; auto-batches calls when one is too fast.
+def median_call_ns(calls, repeats: int) -> list[int]:
+    """Median time of one call of each of ``calls`` in ns, one median per call.
+
+    Each call gets its own warm-ups and a probe, which auto-batches the call
+    when one run is too fast to time. Then every pass takes one sample of
+    each call in turn, so a slow stretch of the host is shared by all the
+    calls instead of landing on one.
 
     Runs pinned to one core and reads the calling thread's CPU clock, not the
     wall clock: time the core spends on other processes is not charged to the
@@ -129,27 +135,30 @@ def median_call_ns(call, repeats: int) -> int:
     collector pauses do not masquerade as the call's cost.
     """
     with pin_to_one_core():
-        for _ in range(_WARMUP):
+        inner = []
+        for call in calls:
+            for _ in range(_WARMUP):
+                call()
+            probe_start = time.thread_time_ns()
             call()
-        probe_start = time.thread_time_ns()
-        call()
-        probe = max(time.thread_time_ns() - probe_start, 1)
-        inner = max(1, math.ceil(_MIN_SAMPLE_NS / probe))
-        samples = []
+            probe = max(time.thread_time_ns() - probe_start, 1)
+            inner.append(max(1, math.ceil(_MIN_SAMPLE_NS / probe)))
+        samples = [[] for _ in calls]
         gc_was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
             for _ in range(repeats):
-                start = time.thread_time_ns()
-                for _ in range(inner):
-                    call()
-                samples.append((time.thread_time_ns() - start) / inner)
-                gc.collect()
+                for call, n, own in zip(calls, inner, samples):
+                    start = time.thread_time_ns()
+                    for _ in range(n):
+                        call()
+                    own.append((time.thread_time_ns() - start) / n)
+                    gc.collect()
         finally:
             if gc_was_enabled:
                 gc.enable()
-    return int(np.median(samples))
+    return [int(np.median(own)) for own in samples]
 
 
 def run_scaling_bench(
@@ -158,7 +167,12 @@ def run_scaling_bench(
     width: int = 64,
     repeats: int = 5,
 ) -> list[BenchRecord]:
-    """Time each aggregator's forward across the length sweep on one substrate."""
+    """Time each aggregator's forward across the length sweep on one substrate.
+
+    Every model and grid is built before any timing, so a bad aggregator or
+    length fails at once; the sweep is then timed round-robin by
+    ``median_call_ns``.
+    """
     if repeats < 5:
         raise ConfigurationError("repeats must be at least 5")
     if not aggregators:
@@ -172,24 +186,20 @@ def run_scaling_bench(
         raise ConfigurationError(
             "length sweep must span at least two doublings for a slope fit"
         )
-    records = []
-    for aggregator in aggregators:
-        for length in lengths:
-            state = _bench_state(aggregator, length, width)
-            rng = Xoshiro256pp(derive_seed(0, _BENCH_TAG, length))
-            grid = Tensor(
-                rng.normals(length * width).reshape(1, length, width).astype(np.float32)
-            )
-            median = median_call_ns(lambda: forward_grid_batch(state, grid), repeats)
-            records.append(
-                BenchRecord(
-                    aggregator=aggregator,
-                    length=length,
-                    median_ns=median,
-                    repeats=repeats,
-                )
-            )
-    return records
+    cases = [(aggregator, length) for aggregator in aggregators for length in lengths]
+    calls = []
+    for aggregator, length in cases:
+        state = _bench_state(aggregator, length, width)
+        rng = Xoshiro256pp(derive_seed(0, _BENCH_TAG, length))
+        grid = Tensor(
+            rng.normals(length * width).reshape(1, length, width).astype(np.float32)
+        )
+        calls.append(partial(forward_grid_batch, state, grid))
+    medians = median_call_ns(calls, repeats)
+    return [
+        BenchRecord(aggregator=aggregator, length=length, median_ns=median, repeats=repeats)
+        for (aggregator, length), median in zip(cases, medians)
+    ]
 
 
 def fit_slope(records: list[BenchRecord]) -> tuple[float, float]:

@@ -35,17 +35,7 @@ from .rng import Xoshiro256pp, derive_seed
 from .scan import SCAN_MODES
 from .tensor import Tensor, add, attention, concat, matmul, mean_axis, mul, reshape, scope
 
-AGGREGATORS = (
-    "linear",
-    "attention",
-    "ssm",
-    "gcn_rule",
-    "gcn_rule_knn",
-    "attention_graph",
-    "mvgmn",
-)
-
-# (mixer kind, graph edge kind) per scheduled unit
+# (mixer kind, graph edge kind) per scheduled unit, one entry per aggregator
 _UNIT_LAYOUT = {
     "linear": ("linear", None),
     "attention": ("attention", None),
@@ -55,6 +45,7 @@ _UNIT_LAYOUT = {
     "attention_graph": ("attention", "rule_knn"),
     "mvgmn": ("scan", "rule_knn"),
 }
+AGGREGATORS = tuple(_UNIT_LAYOUT)
 
 _VALID_BLOCK_COUNTS = (2, 4, 8, 12)
 _INIT_TAG = 0x494E4954  # "INIT"

@@ -90,8 +90,10 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     h = decay * h + drive starting from h = 0, and readout
     y_t = <x_t . c_proj, h_t> per channel plus skip_gain * x_t.
 
-    Takes [B, L, D]. Only when a tape records the op does it store the
-    [B, L, D, N] state history that the hand-derived backward reads.
+    Takes [B, L, D]. The state is one time-major array [S, B, D, N]: step t
+    reads slot (t-1) mod S and writes slot t mod S, and slot S-1 starts as
+    h_{-1} = 0. Under a tape S = L, so the array is the state history that
+    the hand-derived backward reads; without one S = 1.
     """
     xb = x.data
     if xb.ndim != 3:
@@ -115,31 +117,33 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     b_seq = xb @ b_proj  # [B, L, N]
     c_seq = xb @ c_proj  # [B, L, N]
 
-    record = _tracking(x, *weights)
-    hist = np.empty((batch, length, d, n), dtype=xb.dtype) if record else None
-
-    # time-major contiguous copies and one reused work buffer: the step loop
-    # is the benchmark-critical path, so it must stream memory sequentially
-    # and not churn allocations
+    # time-major contiguous copies, one state array and one reused work
+    # buffer: the step loop is the benchmark-critical path, so it must stream
+    # memory sequentially and not churn allocations
     xt = np.ascontiguousarray(xb.transpose(1, 0, 2))  # [L, B, D]
     # fold the step size into the drive; the multiply also guarantees a fresh
     # array (b_seq itself is read again by the backward pass)
     bt = b_seq.transpose(1, 0, 2) * delta.T[:, :, np.newaxis]  # [L, B, N]
     ct = np.ascontiguousarray(c_seq.transpose(1, 0, 2))  # [L, B, N]
-    dt_t = delta.T  # [L, B]
-    h = np.zeros((batch, d, n), dtype=xb.dtype)
+    # each step's operands, shaped once to broadcast against the [B, D, N] state
+    dt_t = delta.T[:, :, np.newaxis, np.newaxis]  # [L, B, 1, 1]
+    x_col = xt[:, :, :, np.newaxis]  # [L, B, D, 1]
+    b_row = bt[:, :, np.newaxis, :]  # [L, B, 1, N]
+    c_row = ct[:, :, np.newaxis, :]  # [L, B, 1, N]
+    slots = length if _tracking(x, *weights) else 1
+    hist = np.empty((slots, batch, d, n), dtype=xb.dtype)  # [S, B, D, N]
+    h = hist[-1]
+    h[...] = 0.0
     work = np.empty_like(h)
     yt = np.empty_like(xt)
     for t in range(length):
-        dt = dt_t[t][:, np.newaxis, np.newaxis]  # [B, 1, 1]
-        np.multiply(a_neg, dt, out=work)
+        prev, h = h, hist[t % slots]
+        np.multiply(a_neg, dt_t[t], out=work)
         np.exp(work, out=work)  # decay
-        h *= work
-        np.multiply(xt[t][:, :, np.newaxis], bt[t][:, np.newaxis, :], out=work)
+        np.multiply(prev, work, out=h)
+        np.multiply(x_col[t], b_row[t], out=work)
         h += work  # drive
-        if record:
-            hist[:, t] = h
-        np.multiply(h, ct[t][:, np.newaxis, :], out=work)
+        np.multiply(h, c_row[t], out=work)
         np.sum(work, axis=-1, out=yt[t])
     yt += skip * xt
     y = yt.transpose(1, 0, 2)
@@ -148,7 +152,8 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
         gx = gy * skip
         g_a = np.zeros_like(a_neg)
         g_bseq = np.empty_like(b_seq)
-        g_cseq = (gy[:, :, np.newaxis, :] @ hist)[:, :, 0]  # y_t reads h_t through c_t
+        gyt = gy.transpose(1, 0, 2)[:, :, np.newaxis, :]  # [L, B, 1, D]
+        g_cseq = (gyt @ hist)[:, :, 0].transpose(1, 0, 2)  # y_t reads h_t through c_t
         g_delta = np.empty_like(delta)
         g_skip = (gy * xb).sum(axis=(0, 1))
         gh = np.zeros((batch, d, n), dtype=xb.dtype)  # dL/dh_t, carried back from t+1
@@ -161,7 +166,7 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
             gx[:, t] += (gh @ b_seq[:, t, :, np.newaxis])[:, :, 0] * dt
             gh *= np.exp(dt[:, :, np.newaxis] * a_neg)  # now dL/dh_{t-1}
             if t > 0:  # h_{-1} = 0, so step 0's decay gets no gradient
-                g_decay = (gh * hist[:, t - 1]).reshape(batch, d * n)  # dL/d(decay) * decay
+                g_decay = (gh * hist[t - 1]).reshape(batch, d * n)  # dL/d(decay) * decay
                 g_delta[:, t] += g_decay @ a_neg.reshape(-1)
                 g_a += (dt.T @ g_decay).reshape(d, n)
         # step-size projection: delta = softplus(u)

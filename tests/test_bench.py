@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -80,11 +82,39 @@ def test_small_sweep_records_and_outputs():
     assert env["git_sha"] is None or len(env["git_sha"]) == 40
 
 
+def test_unknown_aggregator_fails_before_any_timing(monkeypatch):
+    timed = []
+    monkeypatch.setattr(B, "forward_grid_batch", lambda *args: timed.append(args))
+    with pytest.raises(ConfigurationError, match="unknown aggregator 'bogus'"):
+        B.run_scaling_bench(aggregators=("ssm", "bogus"), lengths=(64, 128, 256, 512), repeats=5)
+    assert timed == []
+
+
+def busy_call(log, tag, cpu_ns=1_000_000):
+    def call():
+        log.append(tag)
+        end = time.thread_time_ns() + cpu_ns
+        while time.thread_time_ns() < end:
+            pass
+
+    return call
+
+
+def test_median_call_ns_samples_calls_round_robin():
+    log = []
+    medians = B.median_call_ns([busy_call(log, "a"), busy_call(log, "b", 2_000_000)], repeats=5)
+    assert len(medians) == 2 and 0 < medians[0] < medians[1]
+    # each call's warm-ups and probe, then one sample of each call per pass
+    untimed = B._WARMUP + 1
+    assert log[: 2 * untimed] == ["a"] * untimed + ["b"] * untimed
+    assert [tag for tag, _ in itertools.groupby(log[2 * untimed :])] == ["a", "b"] * 5
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
 def test_median_call_ns_pins_one_core_and_restores():
     before = os.sched_getaffinity(0)
     seen = []
-    assert B.median_call_ns(lambda: seen.append(os.sched_getaffinity(0)), repeats=3) > 0
+    assert B.median_call_ns([lambda: seen.append(os.sched_getaffinity(0))], repeats=3)[0] > 0
     assert seen and all(len(cores) == 1 and cores <= before for cores in seen)
     assert os.sched_getaffinity(0) == before
 

@@ -9,6 +9,7 @@ import pytest
 
 import mvgmn
 from mvgmn import model as model_mod
+from mvgmn import train as train_mod
 from mvgmn.cli import build_parser, main
 
 
@@ -175,7 +176,8 @@ def test_bench_lengths_must_be_integers(tmp_path, capsys):
     "flag, message",
     [(["--aggregators", ""], "at least one aggregator"),
      (["--lengths", ""], "at least 4 lengths"),
-     (["--lengths", "8,32"], "at least 4 lengths")],
+     (["--lengths", "8,32"], "at least 4 lengths"),
+     (["--aggregators", "ssm,bogus"], "unknown aggregator 'bogus'")],
 )
 def test_bench_refuses_a_sweep_it_cannot_fit(tmp_path, capsys, flag, message):
     out = tmp_path / "bench"
@@ -216,6 +218,35 @@ def test_ablate_fusion_ladder(dataset_dir, tmp_path, capsys):
     rows = (out / "ablation.csv").read_text().splitlines()
     assert rows[0] == "variant,params,top1,latency_ms"
     assert len(rows) == 4  # header + three fusion modes
+
+
+def test_ablate_trains_each_distinct_config_once(dataset_dir, tmp_path, capsys, monkeypatch):
+    # with the default aggregator and fusion, aggregator=mvgmn and
+    # fusion=cross_attention are one ModelConfig: 10 rows, 9 models
+    trained = []
+    train_loop = train_mod.train_loop
+
+    def counting_train_loop(state, *args, **kwargs):
+        trained.append(state.config)
+        return train_loop(state, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "train_loop", counting_train_loop)
+    out = tmp_path / "ablate"
+    code = main([
+        "ablate", "--data", str(dataset_dir / "manifest.json"), "--out", str(out),
+        "--ladder", "both", "--epochs", "1", "--batch", "8", "--seed", "0",
+        *TINY_MODEL,
+    ])
+    assert code == 0
+    assert len(trained) == len(set(trained)) == 9
+    rows = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()]
+    assert rows[0] == ["variant", "params", "top1", "latency_ms"]
+    variants = [row[0] for row in rows[1:]]
+    assert variants == [f"aggregator={a}" for a in model_mod.AGGREGATORS] + [
+        f"fusion={m}" for m in model_mod.FUSION_MODES
+    ]
+    table = {row[0]: row[1:] for row in rows[1:]}
+    assert table["aggregator=mvgmn"] == table["fusion=cross_attention"]
 
 
 def test_inspect_graph_schema(dataset_dir, capsys):

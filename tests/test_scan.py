@@ -306,6 +306,26 @@ def test_untaped_scan_stores_no_state_history():
     assert peak < length * d * n * x.data.itemsize
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("length", [1, 2, 24])
+def test_taped_and_untaped_scans_are_byte_identical(length, batch, dtype):
+    # taped: one state slot per step; untaped: one slot in all. At L = 1 and
+    # 2 the last slot is both h_{-1} = 0 and a slot that a step writes
+    d, n = 5, 4
+    ssm = make_ssm(d, n, seed=43, dtype=dtype)
+    x = Tensor(
+        np.random.default_rng(44).standard_normal((batch, length, d)).astype(dtype),
+        requires_grad=True,
+    )
+    untaped = S.selective_scan(x, ssm).data
+    with T.GradTape() as tape:
+        taped = S.selective_scan(x, ssm).data
+    assert len(tape) == 1
+    assert taped.dtype == untaped.dtype == dtype
+    assert taped.tobytes() == untaped.tobytes()
+
+
 def test_scan_rejects_empty_sequence():
     ssm = make_ssm(2, 2, requires=False)
     with pytest.raises(InputError):
