@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .model import ModelConfig, ModelState, forward_grid_batch, init_state
+from .model import ModelConfig, forward_grid_batch, init_state
 from .rng import Xoshiro256pp, derive_seed
 from .tensor import Tensor
 
@@ -101,10 +101,10 @@ def environment() -> dict:
     }
 
 
-def _bench_state(aggregator: str, length: int, width: int) -> ModelState:
+def _bench_config(aggregator: str, length: int, width: int) -> ModelConfig:
     if length % _VIEWS != 0:
         raise ConfigurationError(f"length {length} is not a multiple of {_VIEWS} views")
-    config = ModelConfig(
+    return ModelConfig(
         views=_VIEWS,
         time_steps=length // _VIEWS,
         width=width,
@@ -117,7 +117,12 @@ def _bench_state(aggregator: str, length: int, width: int) -> ModelState:
         aggregator=aggregator,
         knn_k=3,
     )
-    return init_state(config, seed=0, dtype=np.float32)
+
+
+def _bench_grid(length: int, width: int) -> Tensor:
+    """The fused grid every aggregator is timed on at one length."""
+    rng = Xoshiro256pp(derive_seed(0, _BENCH_TAG, length))
+    return Tensor(rng.normals(length * width).reshape(1, length, width).astype(np.float32))
 
 
 def median_call_ns(calls, repeats: int) -> list[int]:
@@ -169,9 +174,10 @@ def run_scaling_bench(
 ) -> list[BenchRecord]:
     """Time each aggregator's forward across the length sweep on one substrate.
 
-    Every model and grid is built before any timing, so a bad aggregator or
-    length fails at once; the sweep is then timed round-robin by
-    ``median_call_ns``.
+    Every model config is checked before any parameter or grid is drawn, so
+    a bad aggregator or length fails at once. Each length's grid is drawn
+    once and shared by every aggregator; the sweep is then timed round-robin
+    by ``median_call_ns``.
     """
     if repeats < 5:
         raise ConfigurationError("repeats must be at least 5")
@@ -187,14 +193,12 @@ def run_scaling_bench(
             "length sweep must span at least two doublings for a slope fit"
         )
     cases = [(aggregator, length) for aggregator in aggregators for length in lengths]
-    calls = []
-    for aggregator, length in cases:
-        state = _bench_state(aggregator, length, width)
-        rng = Xoshiro256pp(derive_seed(0, _BENCH_TAG, length))
-        grid = Tensor(
-            rng.normals(length * width).reshape(1, length, width).astype(np.float32)
-        )
-        calls.append(partial(forward_grid_batch, state, grid))
+    configs = [_bench_config(aggregator, length, width) for aggregator, length in cases]
+    grids = {length: _bench_grid(length, width) for length in lengths}
+    calls = [
+        partial(forward_grid_batch, init_state(config, seed=0, dtype=np.float32), grids[length])
+        for config, (_, length) in zip(configs, cases)
+    ]
     medians = median_call_ns(calls, repeats)
     return [
         BenchRecord(aggregator=aggregator, length=length, median_ns=median, repeats=repeats)

@@ -38,17 +38,18 @@ _DATA_KEYS = {f.name for f in dataclasses.fields(data_mod.SyntheticSpec)}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(train_mod.TrainConfig)}
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated flag value as a tuple; empty items are dropped."""
+    return tuple(item for item in text.split(",") if item)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1, not 2."""
-
-    def error(self, message):
-        raise _UsageError(message, self)
+def _integers(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(item) for item in _names(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _load_config_file(path) -> dict[str, object]:
@@ -106,9 +107,9 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--protocol", dest="train.protocol", choices=data_mod.PROTOCOLS)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="mvgmn", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="mvgmn", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
@@ -147,8 +148,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="forward-latency scaling sweep")
     p.add_argument("--out", required=True)
-    p.add_argument("--aggregators", default="ssm,attention")
-    p.add_argument("--lengths", default=",".join(str(x) for x in bench_mod.DEFAULT_LENGTHS))
+    p.add_argument("--aggregators", type=_names, default=("ssm", "attention"))
+    p.add_argument("--lengths", type=_integers, default=bench_mod.DEFAULT_LENGTHS)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--repeats", type=int, default=5)
 
@@ -272,15 +273,8 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_bench(args) -> int:
     out = _out_dir(args)
-    aggregators = tuple(a for a in args.aggregators.split(",") if a)
-    try:
-        lengths = tuple(int(x) for x in args.lengths.split(",") if x)
-    except ValueError:
-        raise ConfigurationError(
-            f"--lengths must be comma-separated integers, got {args.lengths!r}"
-        ) from None
     records = bench_mod.run_scaling_bench(
-        aggregators=aggregators, lengths=lengths, width=args.width, repeats=args.repeats
+        args.aggregators, args.lengths, width=args.width, repeats=args.repeats
     )
     summary = bench_mod.summarize(records)
     (out / "bench.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
@@ -323,14 +317,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # argparse exits 2 after a usage error, 0 after --help
+        return 1 if done.code else 0
+    try:
         return _HANDLERS[args.command](args)
-    except _UsageError as err:
-        err.parser.print_usage(sys.stderr)
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ConfigurationError, InputError, FormatError, DimensionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

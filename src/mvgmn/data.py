@@ -1,6 +1,6 @@
 """Feature-file format, synthetic multi-view dataset generator, and splits.
 
-Feature files (.mvgf) hold one little-endian row-major tensor:
+Feature files (.mvgf) hold one little-endian row-major tensor and nothing after it:
 
     magic "MVGF" | version u16 | dtype u8 (1=f32, 2=f64) | rank u32 |
     dims rank*u32 | payload
@@ -71,7 +71,8 @@ def write_feature_file(path, array: np.ndarray) -> None:
 def read_feature_file(path) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
-    arr, _ = _parse_tensor_block(blob, 0, str(path))
+    arr, end = _parse_tensor_block(blob, 0, str(path))
+    _check_end(blob, end, str(path))
     return arr
 
 
@@ -80,6 +81,13 @@ def _unpack(fmt: str, blob: bytes, off: int, name: str, field: str) -> tuple:
     if off + struct.calcsize(fmt) > len(blob):
         raise FormatError(f"{name}: truncated {field}", offset=off)
     return struct.unpack_from(fmt, blob, off)
+
+
+def _check_end(blob: bytes, end: int, name: str) -> None:
+    """Refuse bytes after the last tensor block."""
+    if end != len(blob):
+        trailing = len(blob) - end
+        raise FormatError(f"{name}: {trailing} trailing bytes after the last tensor", offset=end)
 
 
 def _parse_tensor_block(blob: bytes, base: int, name: str) -> tuple[np.ndarray, int]:
@@ -165,6 +173,7 @@ def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         off += 2 + name_len
         arr, off = _parse_tensor_block(blob, off, f"{name}:{tensor_name}")
         tensors[tensor_name] = arr
+    _check_end(blob, off, name)
     return meta, tensors
 
 
@@ -366,7 +375,6 @@ class Dataset:
     spec: SyntheticSpec
     ids: list[str]
     labels: np.ndarray  # [n]
-    subjects: np.ndarray  # [n]
     rgb: np.ndarray  # [n, V, T, N_p, rgb_dim] float32
     sk: np.ndarray  # [n, V, T_sk, sk_dim] float32
 
@@ -416,7 +424,6 @@ def load_dataset(manifest_path) -> Dataset:
             spec=spec,
             ids=[s["id"] for s in samples],
             labels=np.asarray([s["label"] for s in samples], dtype=np.int64),
-            subjects=np.asarray([s["subject"] for s in samples], dtype=np.int64),
             rgb=np.stack(rgb_all),
             sk=np.stack(sk_all),
         )

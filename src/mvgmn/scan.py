@@ -32,13 +32,12 @@ from .tensor import (
     take_rows,
 )
 
-SCAN_ORDERS = ("view_forward", "view_backward", "time_forward", "time_backward")
-
 SCAN_MODES = {
     "view_prioritized": ("view_forward", "view_backward"),
     "time_prioritized": ("time_forward", "time_backward"),
     "view_time": ("view_forward", "view_backward", "time_forward", "time_backward"),
 }
+SCAN_ORDERS = SCAN_MODES["view_time"]
 
 
 @lru_cache(maxsize=None)

@@ -89,7 +89,7 @@ def _batches(indices: np.ndarray, size: int):
 
 
 def worker_count() -> int:
-    """Evaluation fan-out width, capped by the MVGMN_THREADS env var."""
+    """Threads in evaluate's batch pool: the MVGMN_THREADS env var, default 1."""
     raw = os.environ.get("MVGMN_THREADS", "1")
     try:
         count = int(raw)
@@ -130,13 +130,8 @@ def evaluate(
             state, dataset.rgb[batch], dataset.sk[batch], mask_view=mask_view
         ).data
 
-    batches = list(_batches(indices, batch_size))
-    workers = worker_count()
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            logits = list(pool.map(run, batches))
-    else:
-        logits = [run(b) for b in batches]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        logits = list(pool.map(run, _batches(indices, batch_size)))
     return top1_accuracy(np.concatenate(logits), dataset.labels[indices])
 
 

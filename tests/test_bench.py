@@ -84,10 +84,42 @@ def test_small_sweep_records_and_outputs():
 
 def test_unknown_aggregator_fails_before_any_timing(monkeypatch):
     timed = []
+    drawn = []  # parameter and grid draws
     monkeypatch.setattr(B, "forward_grid_batch", lambda *args: timed.append(args))
+    monkeypatch.setattr(B, "init_state", lambda *args, **kwargs: drawn.append(args))
+    monkeypatch.setattr(B, "Xoshiro256pp", lambda *args: drawn.append(args))
     with pytest.raises(ConfigurationError, match="unknown aggregator 'bogus'"):
         B.run_scaling_bench(aggregators=("ssm", "bogus"), lengths=(64, 128, 256, 512), repeats=5)
     assert timed == []
+    # the bad length comes last, after lengths whose configs are valid
+    with pytest.raises(ConfigurationError, match="not a multiple of 4 views"):
+        B.run_scaling_bench(aggregators=("ssm",), lengths=(64, 128, 256, 514), repeats=5)
+    assert drawn == []
+
+
+def test_each_length_draws_one_grid_for_every_aggregator(monkeypatch):
+    seeds = []
+    rng_class = B.Xoshiro256pp
+
+    def counting_rng(seed):
+        seeds.append(seed)
+        return rng_class(seed)
+
+    timed = []
+
+    def untimed(calls, repeats):
+        timed.extend(calls)
+        return [1] * len(calls)
+
+    monkeypatch.setattr(B, "Xoshiro256pp", counting_rng)
+    monkeypatch.setattr(B, "median_call_ns", untimed)
+    records = B.run_scaling_bench(
+        aggregators=("ssm", "linear"), lengths=(64, 128, 256, 512), width=8, repeats=5
+    )
+    assert len(records) == len(timed) == 8
+    assert len(seeds) == len(set(seeds)) == 4
+    for ssm_call, linear_call in zip(timed[:4], timed[4:]):
+        assert ssm_call.args[1] is linear_call.args[1]
 
 
 def busy_call(log, tag, cpu_ns=1_000_000):

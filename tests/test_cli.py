@@ -154,6 +154,18 @@ def test_unknown_flag_and_subcommand_exit_one(capsys):
     assert main(["transmogrify"]) == 1
 
 
+def test_help_exits_zero_and_usage_error_exits_one(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: mvgmn" in capsys.readouterr().out
+    assert main(["bench", "--help"]) == 0
+    assert "--lengths" in capsys.readouterr().out
+    assert main(["bench", "--out", "/tmp/x", "--repeats", "many"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--repeats" in err and "Traceback" not in err
+    assert main([]) == 1
+    assert "usage" in capsys.readouterr().err
+
+
 def test_bench_small_sweep(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main([
@@ -282,6 +294,21 @@ def test_truncated_checkpoint_is_validation_error(dataset_dir, tmp_path, capsys)
                      "--data", str(dataset_dir / "manifest.json")])
         assert code == 1, f"prefix of {cut} bytes exited {code}"
     assert capsys.readouterr().err.count("error: ") == len(blob)
+
+
+def test_checkpoint_with_trailing_bytes_is_validation_error(dataset_dir, tmp_path, capsys):
+    cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
+                                sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
+    path = tmp_path / "long.mvgc"
+    model_mod.save_checkpoint(path, model_mod.init_state(cfg))
+    end = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"junk")
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"4 trailing bytes after the last tensor (at byte offset {end})" in err
+    assert "Traceback" not in err
 
 
 def _break_manifest(manifest, case):

@@ -135,6 +135,25 @@ def test_truncated_container_reports_offset(tmp_path):
         assert 0 <= err.value.offset <= cut
 
 
+def test_readers_refuse_trailing_bytes(tmp_path):
+    feature = tmp_path / "t.mvgf"
+    D.write_feature_file(feature, np.ones((2, 3), dtype=np.float32))
+    end = feature.stat().st_size
+    feature.write_bytes(feature.read_bytes() + b"junk")
+    with pytest.raises(FormatError, match="4 trailing bytes after the last tensor") as err:
+        D.read_feature_file(feature)
+    assert err.value.offset == end
+
+    container = tmp_path / "c.mvgc"
+    tensors = {"a.w": np.ones((2, 3)), "b": np.zeros(2)}
+    D.write_tensor_container(container, {"kind": "test"}, tensors)
+    end = container.stat().st_size
+    container.write_bytes(container.read_bytes() + b"junk")
+    with pytest.raises(FormatError, match="4 trailing bytes after the last tensor") as err:
+        D.read_tensor_container(container)
+    assert err.value.offset == end
+
+
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_scan_batched_gradients():
 
 def test_untaped_scan_stores_no_state_history():
     # model parameters always require gradients, so only the tape can say
-    # whether the [B, L, D, N] history will ever be read
+    # whether the [L, B, D, N] history will ever be read
     length, d, n = 256, 16, 16
     ssm = make_ssm(d, n, seed=41)
     x = Tensor(np.random.default_rng(42).standard_normal((1, length, d)))
