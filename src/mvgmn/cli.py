@@ -53,10 +53,9 @@ def _integers(text: str) -> tuple[int, ...]:
 
 
 def _load_config_file(path) -> dict[str, object]:
+    text = data_mod.read_input(path)
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):

@@ -61,6 +61,17 @@ def _tensor_block(array: np.ndarray) -> list[bytes]:
     ]
 
 
+def read_input(path) -> bytes:
+    """The bytes of an input file; a missing path or a directory is an ``InputError``."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise InputError(f"file not found: {path}") from None
+    except IsADirectoryError:
+        raise InputError(f"not a file: {path}") from None
+
+
 def write_feature_file(path, array: np.ndarray) -> None:
     """Serialize one tensor; round-trips bitwise through read_feature_file."""
     block = _tensor_block(array)
@@ -69,8 +80,7 @@ def write_feature_file(path, array: np.ndarray) -> None:
 
 
 def read_feature_file(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = read_input(path)
     arr, end = _parse_tensor_block(blob, 0, str(path))
     _check_end(blob, end, str(path))
     return arr
@@ -143,8 +153,7 @@ def write_tensor_container(path, meta: dict, tensors: dict[str, np.ndarray]) -> 
 
 
 def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = read_input(path)
     name = str(path)
     if blob[:4] != CONTAINER_MAGIC:
         raise FormatError(f"{name}: bad container magic {blob[:4]!r}", offset=0)
@@ -170,6 +179,8 @@ def read_tensor_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             tensor_name = raw_name.decode()
         except UnicodeDecodeError:
             raise FormatError(f"{name}: tensor name is not UTF-8", offset=off + 2) from None
+        if tensor_name in tensors:
+            raise FormatError(f"{name}: tensor {tensor_name!r} appears twice", offset=off)
         off += 2 + name_len
         arr, off = _parse_tensor_block(blob, off, f"{name}:{tensor_name}")
         tensors[tensor_name] = arr
@@ -412,7 +423,7 @@ def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     root = path.parent
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(read_input(path))
         spec = SyntheticSpec(**manifest["spec"])
         samples = manifest["samples"]
         check_samples(samples, spec, path)

@@ -11,6 +11,7 @@ bit-for-bit from its config.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import time
@@ -27,6 +28,39 @@ from .tensor import GradTape, softmax_cross_entropy
 
 _EPOCH_TAG = 0x45504F43  # "EPOC"
 _PLATEAU_FACTOR = 0.1
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_BYTES = 1 << 30
+_MMAP_BYTES = 32 << 20  # glibc's ceiling on 64-bit; mallopt refuses more
+
+
+def _libc():
+    try:
+        return ctypes.CDLL(None)  # the C library the process already runs on
+    except (OSError, TypeError):  # no handle for the running process (Windows)
+        return None
+
+
+def hold_heap() -> bool:
+    """Keep freed memory in the C heap instead of returning it to the kernel.
+
+    A training step frees and re-allocates the same arrays every step. With
+    glibc's defaults the freed memory is trimmed or unmapped, and the next
+    step faults every page back in. This raises glibc's trim threshold to
+    1 GiB and its mmap threshold to 32 MiB. Both or neither: the mmap
+    threshold goes first, and a refusal skips the trim threshold, since
+    either one alone faults more than the defaults. A C library without
+    ``mallopt`` (macOS, Windows) is left alone. The setting holds for the
+    whole process; returns whether it was made.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if not mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES):
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES))
 
 
 @dataclass(frozen=True)
@@ -143,7 +177,11 @@ def train_loop(
     log_path=None,
     progress=None,
 ) -> tuple[ModelState, TrainLog]:
-    """Optimize in place; returns the state and the per-epoch log."""
+    """Optimize in place; returns the state and the per-epoch log.
+
+    Holds the process's heap first (``hold_heap``).
+    """
+    hold_heap()
     train_idx = dataset.index_of(splits.train_ids)
     test_idx = dataset.index_of(splits.test_ids)
     mask_view = splits.masked_view

@@ -2,12 +2,14 @@ import json
 import os
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvgmn
+from mvgmn import data as D
 from mvgmn import model as model_mod
 from mvgmn import train as train_mod
 from mvgmn.cli import build_parser, main
@@ -308,6 +310,55 @@ def test_checkpoint_with_trailing_bytes_is_validation_error(dataset_dir, tmp_pat
     err = capsys.readouterr().err
     assert code == 1
     assert f"4 trailing bytes after the last tensor (at byte offset {end})" in err
+    assert "Traceback" not in err
+
+
+def _tiny_checkpoint(path) -> Path:
+    cfg = model_mod.ModelConfig(views=2, time_steps=4, width=2, n_classes=3, rgb_dim=2,
+                                sk_dim=2, patches=1, n_blocks=2, aggregator="linear")
+    model_mod.save_checkpoint(path, model_mod.init_state(cfg))
+    return path
+
+
+def test_checkpoint_with_a_repeated_tensor_is_validation_error(dataset_dir, tmp_path, capsys):
+    # Its names, as a set, still match the config's layout.
+    path = _tiny_checkpoint(tmp_path / "padded.mvgc")
+    meta, tensors = D.read_tensor_container(path)
+    name = next(iter(tensors))
+    D.write_tensor_container(tmp_path / "one.mvgc", meta, {name: tensors[name]})
+    blob, one = path.read_bytes(), (tmp_path / "one.mvgc").read_bytes()
+    count_at = 10 + struct.unpack_from("<I", blob, 6)[0]
+    path.write_bytes(blob[:count_at] + struct.pack("<I", len(tensors) + 1)
+                     + blob[count_at + 4 :] + one[count_at + 4 :])
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"tensor {name!r} appears twice (at byte offset {len(blob)})" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", ["nope", "a_dir"])
+@pytest.mark.parametrize("command", ["train", "config", "eval_checkpoint", "eval_data",
+                                     "inspect_graph"])
+def test_missing_input_file_is_validation_error(dataset_dir, tmp_path, capsys, command, path):
+    data = str(dataset_dir / "manifest.json")
+    ckpt = str(_tiny_checkpoint(tmp_path / "model.mvgc"))
+    (tmp_path / "a_dir").mkdir()
+    bad = str(tmp_path / path)
+    argv = {
+        "train": ["train", "--data", bad, "--out", str(tmp_path / "run")],
+        "config": ["train", "--data", data, "--config", bad, "--out", str(tmp_path / "run")],
+        "eval_checkpoint": ["eval", "--checkpoint", bad, "--data", data],
+        "eval_data": ["eval", "--checkpoint", ckpt, "--data", bad],
+        "inspect_graph": ["inspect-graph", "--data", data, "--sample", "s000003",
+                          "--block", "1", "--checkpoint", bad],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    why = "file not found" if path == "nope" else "not a file"
+    assert f"error: {why}: {bad}" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +153,38 @@ def test_readers_refuse_trailing_bytes(tmp_path):
     with pytest.raises(FormatError, match="4 trailing bytes after the last tensor") as err:
         D.read_tensor_container(container)
     assert err.value.offset == end
+
+
+def test_container_refuses_a_repeated_tensor_name(tmp_path):
+    container = tmp_path / "c.mvgc"
+    D.write_tensor_container(container, {"kind": "test"}, {"a": np.ones(2), "b": np.zeros(3)})
+    first = tmp_path / "a.mvgc"
+    D.write_tensor_container(first, {"kind": "test"}, {"a": np.full(2, 7.0)})
+    blob, entry = container.read_bytes(), first.read_bytes()
+    count_at = 10 + struct.unpack_from("<I", blob, 6)[0]
+    entry = entry[count_at + 4 :]  # the same metadata, so the same header length
+    padded = blob[:count_at] + struct.pack("<I", 3) + blob[count_at + 4 :] + entry
+    container.write_bytes(padded)
+    with pytest.raises(FormatError, match="tensor 'a' appears twice") as err:
+        D.read_tensor_container(container)
+    assert err.value.offset == len(blob)
+
+
+def test_missing_input_files_are_input_errors(tmp_path):
+    with pytest.raises(InputError, match="file not found: .*nope.mvgc"):
+        D.read_tensor_container(tmp_path / "nope.mvgc")
+    with pytest.raises(InputError, match="file not found: .*manifest.json"):
+        D.load_dataset(tmp_path / "manifest.json")
+    manifest = _manifest(tmp_path)
+    feature = tmp_path / manifest["samples"][3]["views"][1]["sk"]
+    feature.unlink()
+    with pytest.raises(InputError, match=re.escape(f"file not found: {feature}")):
+        D.load_dataset(tmp_path / "manifest.json")
+    feature.mkdir()
+    with pytest.raises(InputError, match=re.escape(f"not a file: {feature}")):
+        D.load_dataset(tmp_path / "manifest.json")
+    with pytest.raises(InputError, match=re.escape(f"not a file: {tmp_path}")):
+        D.read_tensor_container(tmp_path)
 
 
 # ---------------------------------------------------------------------------

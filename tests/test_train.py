@@ -1,5 +1,7 @@
 import json
+import platform
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,3 +224,70 @@ def test_threaded_evaluation_matches_serial(trainable, monkeypatch):
     threaded = TR.evaluate(state, dataset, idx, batch_size=4)
     assert serial == threaded
     assert len(seen) == 2 and seen[0] == seen[1]
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+# ---------------------------------------------------------------------------
+
+
+def test_train_loop_holds_the_heap(trainable, monkeypatch):
+    held = []
+    monkeypatch.setattr(TR, "hold_heap", lambda: held.append(True))
+    dataset, splits = trainable
+    TR.train_loop(small_state(), dataset, splits, TR.TrainConfig(max_epochs=1, batch_size=8))
+    assert held == [True]
+
+
+def test_hold_heap_sets_both_malloc_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(TR, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    assert TR.hold_heap() is True
+    assert sorted(calls) == [(-3, 32 << 20), (-1, 1 << 30)]
+
+
+def test_hold_heap_sets_neither_threshold_when_one_is_refused(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0  # glibc's answer to an mmap threshold above its ceiling
+
+    monkeypatch.setattr(TR, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    assert TR.hold_heap() is False
+    assert calls == [(-3, 32 << 20)]
+
+
+@pytest.mark.parametrize("libc", [None, SimpleNamespace()], ids=["no_libc", "no_mallopt"])
+def test_hold_heap_is_a_no_op_without_mallopt(monkeypatch, libc):
+    monkeypatch.setattr(TR, "_libc", lambda: libc)
+    assert TR.hold_heap() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap policy")
+def test_epochs_after_the_first_take_few_page_faults(tmp_path):
+    # The default recipe at three batches of 32. Without a held heap, glibc
+    # hands freed step arrays back to the kernel, and every later epoch faults
+    # them in again: over ten thousand minor faults per epoch. conftest holds
+    # the heap for the whole session; this checks the held heap keeps them out.
+    import resource  # POSIX only, like the skip condition
+
+    spec = D.SyntheticSpec(samples_per_class=16, seed=1)
+    manifest = D.generate_synthetic(spec, tmp_path)
+    dataset = D.load_dataset(tmp_path / "manifest.json")
+    splits = D.make_splits(manifest, "cross_subject")
+    splits = replace(splits, train_ids=splits.train_ids[:96], test_ids=splits.test_ids[:24])
+    state = M.init_state(M.config_for_dataset(spec), seed=1)
+    faults = []
+    TR.train_loop(
+        state, dataset, splits, TR.TrainConfig(max_epochs=4, seed=1),
+        progress=lambda row: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt),
+    )
+    per_epoch = np.diff(faults)
+    assert len(per_epoch) == 3
+    assert (per_epoch < 500).all(), f"minor faults per epoch after the first: {per_epoch}"
