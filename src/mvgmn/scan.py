@@ -92,7 +92,15 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     Takes [B, L, D]. The state is one time-major array [S, B, D, N]: step t
     reads slot (t-1) mod S and writes slot t mod S, and slot S-1 starts as
     h_{-1} = 0. Under a tape S = L, so the array is the state history that
-    the hand-derived backward reads; without one S = 1.
+    the hand-derived backward reads; without one S = 1. The readout is a
+    matrix product, h_t [D, N] @ c_t [N, 1]: once per step without a tape,
+    once over the whole history after the loop with one. Both run the same
+    per-(t, b) product, so taped and untaped outputs are byte-identical.
+
+    The backward keeps only the carried state gradient in its step loop and
+    forms every parameter gradient afterwards as whole-array products. It
+    overwrites the history with dL/d(decay)·decay as it goes, so a tape can
+    replay it only once (``GradTape.backward`` enforces that).
     """
     xb = x.data
     if xb.ndim != 3:
@@ -123,18 +131,19 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     # fold the step size into the drive; the multiply also guarantees a fresh
     # array (b_seq itself is read again by the backward pass)
     bt = b_seq.transpose(1, 0, 2) * delta.T[:, :, np.newaxis]  # [L, B, N]
-    ct = np.ascontiguousarray(c_seq.transpose(1, 0, 2))  # [L, B, N]
+    # readout columns and outputs as contiguous [..., 1] arrays, so a step's
+    # product and the whole-history product run the same per-(t, b) kernel
+    c_col = np.ascontiguousarray(c_seq.transpose(1, 0, 2)).reshape(length, batch, n, 1)
+    y_col = np.empty((length, batch, d, 1), dtype=xb.dtype)  # [L, B, D, 1]
     # each step's operands, shaped once to broadcast against the [B, D, N] state
     dt_t = delta.T[:, :, np.newaxis, np.newaxis]  # [L, B, 1, 1]
     x_col = xt[:, :, :, np.newaxis]  # [L, B, D, 1]
     b_row = bt[:, :, np.newaxis, :]  # [L, B, 1, N]
-    c_row = ct[:, :, np.newaxis, :]  # [L, B, 1, N]
     slots = length if _tracking(x, *weights) else 1
     hist = np.empty((slots, batch, d, n), dtype=xb.dtype)  # [S, B, D, N]
     h = hist[-1]
     h[...] = 0.0
     work = np.empty_like(h)
-    yt = np.empty_like(xt)
     for t in range(length):
         prev, h = h, hist[t % slots]
         np.multiply(a_neg, dt_t[t], out=work)
@@ -142,32 +151,36 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
         np.multiply(prev, work, out=h)
         np.multiply(x_col[t], b_row[t], out=work)
         h += work  # drive
-        np.multiply(h, c_row[t], out=work)
-        np.sum(work, axis=-1, out=yt[t])
+        if slots == 1:
+            np.matmul(h, c_col[t], out=y_col[t])
+    if slots > 1:  # the history is kept: read it out in one product
+        np.matmul(hist, c_col, out=y_col)
+    yt = y_col[..., 0]
     yt += skip * xt
     y = yt.transpose(1, 0, 2)
 
     def backward(gy: np.ndarray):
         gx = gy * skip
-        g_a = np.zeros_like(a_neg)
-        g_bseq = np.empty_like(b_seq)
         gyt = gy.transpose(1, 0, 2)[:, :, np.newaxis, :]  # [L, B, 1, D]
         g_cseq = (gyt @ hist)[:, :, 0].transpose(1, 0, 2)  # y_t reads h_t through c_t
-        g_delta = np.empty_like(delta)
         g_skip = (gy * xb).sum(axis=(0, 1))
+        g_drive = np.empty_like(b_seq)  # dL/d(dt * b_t) = x_t . dL/dh_t, [B, L, N]
+        gh_b = np.empty_like(xb)  # dL/dh_t . b_t, [B, L, D]
         gh = np.zeros((batch, d, n), dtype=xb.dtype)  # dL/dh_t, carried back from t+1
         for t in range(length - 1, -1, -1):
-            dt = delta[:, t, np.newaxis]  # [B, 1]
             gh += gy[:, t, :, np.newaxis] * c_seq[:, t, np.newaxis, :]
-            g_drive = (xb[:, t, np.newaxis, :] @ gh)[:, 0]  # dL/d(dt * b_t), [B, N]
-            g_bseq[:, t] = g_drive * dt
-            g_delta[:, t] = (g_drive * b_seq[:, t]).sum(axis=1)
-            gx[:, t] += (gh @ b_seq[:, t, :, np.newaxis])[:, :, 0] * dt
-            gh *= np.exp(dt[:, :, np.newaxis] * a_neg)  # now dL/dh_{t-1}
+            g_drive[:, t] = (xb[:, t, np.newaxis, :] @ gh)[:, 0]
+            gh_b[:, t] = (gh @ b_seq[:, t, :, np.newaxis])[:, :, 0]
+            gh *= np.exp(delta[:, t, np.newaxis, np.newaxis] * a_neg)  # now dL/dh_{t-1}
             if t > 0:  # h_{-1} = 0, so step 0's decay gets no gradient
-                g_decay = (gh * hist[t - 1]).reshape(batch, d * n)  # dL/d(decay) * decay
-                g_delta[:, t] += g_decay @ a_neg.reshape(-1)
-                g_a += (dt.T @ g_decay).reshape(d, n)
+                hist[t - 1] *= gh  # dL/d(decay_t) * decay_t; no later step reads h_{t-1}
+        g_bseq = g_drive * delta[:, :, np.newaxis]
+        g_delta = (g_drive * b_seq).sum(axis=-1)
+        gx += gh_b * delta[:, :, np.newaxis]
+        # the decay part, one product each over every step's dL/d(decay) * decay
+        g_decay = hist[:-1].reshape(length - 1, batch, d * n)
+        g_delta[:, 1:] += (g_decay @ a_neg.reshape(-1)).T
+        g_a = (delta.T[1:].reshape(1, -1) @ g_decay.reshape(-1, d * n)).reshape(d, n)
         # step-size projection: delta = softplus(u)
         gu = g_delta * sigmoid_stable(u)
         gx += gu[:, :, np.newaxis] * dt_weight[:, 0]

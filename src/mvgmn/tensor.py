@@ -81,6 +81,7 @@ class GradTape:
 
     def __init__(self):
         self._ops: list[Callable[[], None]] = []
+        self._replayed = False
 
     def __enter__(self) -> "GradTape":
         global _active_tape
@@ -101,11 +102,19 @@ class GradTape:
         return len(self._ops)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and replay closures in reverse order."""
+        """Seed d(loss)/d(loss) = 1 and replay closures in reverse order.
+
+        A tape replays once: closures may consume what their forward saved
+        (the selective scan overwrites its state history), so a second
+        replay raises ``ConfigurationError``.
+        """
+        if self._replayed:
+            raise ConfigurationError("a gradient tape replays once; record a new one")
         if loss.data.size != 1:
             raise DimensionError("backward requires a scalar loss")
         if not np.all(np.isfinite(loss.data)):
             raise NumericError("loss is non-finite")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
         for fn in reversed(self._ops):
             fn()
@@ -307,7 +316,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         g_s = None
         if q.requires or k.requires:  # d(loss)/d(weights), made d(loss)/d(scores) in place
             g_s = g @ np.swapaxes(vd, -1, -2)
-            g_s -= (g_s * w).sum(axis=-1, keepdims=True)
+            g_s -= np.einsum("...ij,...ij->...i", g_s, w)[..., np.newaxis]  # row dots
             g_s *= w
         return [
             (g_s @ kd) * scale if q.requires else None,

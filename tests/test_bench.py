@@ -152,8 +152,11 @@ def test_median_call_ns_pins_one_core_and_restores():
 
 
 def test_repeated_runs_are_stable():
-    # timing stability gate: identical config twice, L=1024 medians within 20%
-    kwargs = dict(aggregators=("ssm",), lengths=(128, 256, 512, 1024), width=8, repeats=5)
-    with_1 = B.run_scaling_bench(**kwargs)[-1].median_ns
-    with_2 = B.run_scaling_bench(**kwargs)[-1].median_ns
+    # timing stability gate: identical config twice, L=1024 medians within 20%.
+    # Both sweeps are sampled round-robin in one timer call, so a slow stretch
+    # of the host lands on both medians, not on one sweep only
+    records = B.run_scaling_bench(
+        aggregators=("ssm", "ssm"), lengths=(128, 256, 512, 1024), width=8, repeats=5
+    )
+    with_1, with_2 = (r.median_ns for r in records if r.length == 1024)
     assert abs(with_1 - with_2) / max(with_1, with_2) < 0.20

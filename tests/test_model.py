@@ -335,7 +335,8 @@ def test_checkpoint_round_trip(tmp_path):
      ("no_version", f"a version before 0.3.0; this is mvgmn {mvgmn.__version__}"),
      ("v0_2_version", f"version 0.2.0; this is mvgmn {mvgmn.__version__}"),
      ("v0_3_version", f"version 0.3.0; this is mvgmn {mvgmn.__version__}"),
-     ("v0_4_version", f"version 0.4.0; this is mvgmn {mvgmn.__version__}")],
+     ("v0_4_version", f"version 0.4.0; this is mvgmn {mvgmn.__version__}"),
+     ("v0_5_version", f"version 0.5.0; this is mvgmn {mvgmn.__version__}")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
@@ -350,6 +351,8 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
         meta["version"] = "0.3.0"
     elif case == "v0_4_version":
         meta["version"] = "0.4.0"
+    elif case == "v0_5_version":
+        meta["version"] = "0.5.0"
     elif case == "unknown_config_key":
         config["dropout"] = 0.1
     elif case == "v0_1_config_key":  # a field that version 0.1.0 checkpoints carry

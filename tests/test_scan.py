@@ -291,6 +291,38 @@ def test_scan_batched_gradients():
     assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
 
 
+@pytest.mark.parametrize("batch, length", [(1, 1), (3, 2)])
+def test_short_scan_gradients_match_finite_differences(batch, length):
+    # L = 1: no step has a previous state, so the decay gradients are all
+    # zero; L = 2: one decay gradient, written over the first state's slot
+    d, n = 3, 2
+    ssm = make_ssm(d, n, seed=23 + length)
+    x = Tensor(
+        np.random.default_rng(24 + length).standard_normal((batch, length, d)),
+        requires_grad=True,
+    )
+
+    def loss():
+        out = S.selective_scan(x, ssm)
+        return T.sum_all(T.mul(out, out))
+
+    assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
+
+
+def test_scan_tape_replays_once():
+    # the backward overwrites the state history, so a second replay would
+    # compute the a_log gradient from the wrong values
+    ssm = make_ssm(3, 2, seed=25)
+    x = Tensor(np.random.default_rng(26).standard_normal((2, 5, 3)), requires_grad=True)
+    with T.GradTape() as tape:
+        loss = T.sum_all(S.selective_scan(x, ssm))
+        tape.backward(loss)
+        first = ssm["a_log"].grad.copy()
+        with pytest.raises(ConfigurationError, match="replays once"):
+            tape.backward(loss)
+    assert ssm["a_log"].grad.tobytes() == first.tobytes()
+
+
 def test_untaped_scan_stores_no_state_history():
     # model parameters always require gradients, so only the tape can say
     # whether the [L, B, D, N] history will ever be read
