@@ -7,4 +7,4 @@ and synthetic datasets), ``train`` (SGD with plateau schedule), ``bench``
 (linear-vs-quadratic scaling), ``cli`` (command line).
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -97,10 +97,14 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     once over the whole history after the loop with one. Both run the same
     per-(t, b) product, so taped and untaped outputs are byte-identical.
 
-    The backward keeps only the carried state gradient in its step loop and
-    forms every parameter gradient afterwards as whole-array products. It
-    overwrites the history with dL/d(decay)·decay as it goes, so a tape can
-    replay it only once (``GradTape.backward`` enforces that).
+    The backward keeps only the carried state gradient in its step loop. It
+    allocates one [B, D, N] work buffer of its own, which takes each step's
+    outer product gy_t ⊗ c_t and then its recomputed decay, so no step makes
+    a state-sized temporary. Every parameter gradient is formed after the
+    loop as a whole-array product; those of ``b_proj`` and ``c_proj`` are
+    one BLAS product each, x [D, B·L] @ g [B·L, N]. The backward overwrites
+    the history with dL/d(decay)·decay as it goes, so a tape can replay it
+    only once (``GradTape.backward`` enforces that).
     """
     xb = x.data
     if xb.ndim != 3:
@@ -167,11 +171,15 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
         g_drive = np.empty_like(b_seq)  # dL/d(dt * b_t) = x_t . dL/dh_t, [B, L, N]
         gh_b = np.empty_like(xb)  # dL/dh_t . b_t, [B, L, D]
         gh = np.zeros((batch, d, n), dtype=xb.dtype)  # dL/dh_t, carried back from t+1
+        work = np.empty_like(gh)  # each step's outer product, then its decay
         for t in range(length - 1, -1, -1):
-            gh += gy[:, t, :, np.newaxis] * c_seq[:, t, np.newaxis, :]
+            np.einsum("bd,bn->bdn", gy[:, t], c_seq[:, t], out=work)
+            gh += work
             g_drive[:, t] = (xb[:, t, np.newaxis, :] @ gh)[:, 0]
             gh_b[:, t] = (gh @ b_seq[:, t, :, np.newaxis])[:, :, 0]
-            gh *= np.exp(delta[:, t, np.newaxis, np.newaxis] * a_neg)  # now dL/dh_{t-1}
+            np.multiply(a_neg, dt_t[t], out=work)
+            np.exp(work, out=work)
+            gh *= work  # now dL/dh_{t-1}
             if t > 0:  # h_{-1} = 0, so step 0's decay gets no gradient
                 hist[t - 1] *= gh  # dL/d(decay_t) * decay_t; no later step reads h_{t-1}
         g_bseq = g_drive * delta[:, :, np.newaxis]
@@ -189,8 +197,9 @@ def selective_scan(x: Tensor, p: dict[str, Tensor]) -> Tensor:
         # token projections into state drive/readout
         gx += g_bseq @ b_proj.T
         gx += g_cseq @ c_proj.T
-        g_bproj = np.einsum("bld,bln->dn", xb, g_bseq)
-        g_cproj = np.einsum("bld,bln->dn", xb, g_cseq)
+        x_rows = xb.reshape(-1, d).T  # [D, B*L]
+        g_bproj = x_rows @ g_bseq.reshape(-1, n)
+        g_cproj = x_rows @ g_cseq.reshape(-1, n)
         g_alog = g_a * a_neg  # dA/da_log = -exp(a_log) = A
         return [gx, g_alog, g_bproj, g_cproj, g_dtw, g_dtb, g_skip]
 

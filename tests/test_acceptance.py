@@ -196,6 +196,7 @@ def test_criterion_4_permutation_algebra():
 # criterion 5 -----------------------------------------------------------------
 
 
+@pytest.mark.timing
 def test_criterion_5_complexity_scaling():
     started = time.monotonic()
     with B.pin_to_one_core():

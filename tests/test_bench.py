@@ -151,6 +151,7 @@ def test_median_call_ns_pins_one_core_and_restores():
     assert os.sched_getaffinity(0) == before
 
 
+@pytest.mark.timing
 def test_repeated_runs_are_stable():
     # timing stability gate: identical config twice, L=1024 medians within 20%.
     # Both sweeps are sampled round-robin in one timer call, so a slow stretch

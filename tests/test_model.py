@@ -341,7 +341,8 @@ _THIS_VERSION = f"this is mvgmn {mvgmn.__version__}"
      pytest.param("v0_2_version", f"version 0.2.0; {_THIS_VERSION}", id="v0_2_version"),
      pytest.param("v0_3_version", f"version 0.3.0; {_THIS_VERSION}", id="v0_3_version"),
      pytest.param("v0_4_version", f"version 0.4.0; {_THIS_VERSION}", id="v0_4_version"),
-     pytest.param("v0_5_version", f"version 0.5.0; {_THIS_VERSION}", id="v0_5_version")],
+     pytest.param("v0_5_version", f"version 0.5.0; {_THIS_VERSION}", id="v0_5_version"),
+     pytest.param("v0_6_version", f"version 0.6.0; {_THIS_VERSION}", id="v0_6_version")],
 )
 def test_checkpoint_must_fit_its_config(tmp_path, case, match):
     state = M.init_state(tiny_config(), seed=14)
@@ -358,6 +359,8 @@ def test_checkpoint_must_fit_its_config(tmp_path, case, match):
         meta["version"] = "0.4.0"
     elif case == "v0_5_version":
         meta["version"] = "0.5.0"
+    elif case == "v0_6_version":
+        meta["version"] = "0.6.0"
     elif case == "unknown_config_key":
         config["dropout"] = 0.1
     elif case == "v0_1_config_key":  # a field that version 0.1.0 checkpoints carry

@@ -255,6 +255,21 @@ def test_scan_matches_reference_oracle(seed):
     np.testing.assert_allclose(fast, slow, atol=1e-6, rtol=1e-9)
 
 
+# [B, L, D] and N of the scan in the train workload's recipe (batch 32,
+# V*T = 24, width 32 doubled by the layer's inner expansion, state_dim 64)
+TRAIN_SCAN_SHAPE = (32, 24, 64, 64)
+
+
+def test_scan_matches_reference_oracle_at_train_shape():
+    batch, length, d, n = TRAIN_SCAN_SHAPE
+    ssm = make_ssm(d, n, seed=51, requires=False)
+    x = np.random.default_rng(52).standard_normal((batch, length, d))
+    fast = S.selective_scan(Tensor(x), ssm).data
+    for row in (0, batch - 1):
+        slow = selective_scan_reference(x[row], ssm)
+        np.testing.assert_allclose(fast[row], slow, atol=1e-6, rtol=1e-9)
+
+
 def test_scan_batched_matches_per_sample():
     rng = np.random.default_rng(3)
     ssm = make_ssm(4, 5, seed=4, requires=False)
@@ -307,6 +322,33 @@ def test_short_scan_gradients_match_finite_differences(batch, length):
         return T.sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
+
+
+def test_scan_directional_gradients_at_train_shape():
+    # every scan gradient against a central difference along one random
+    # direction per tensor: <grad, direction> = d/de loss(p + e * direction)
+    batch, length, d, n = TRAIN_SCAN_SHAPE
+    ssm = make_ssm(d, n, seed=53)
+    rng = np.random.default_rng(54)
+    x = Tensor(rng.standard_normal((batch, length, d)), requires_grad=True)
+    w = Tensor(rng.standard_normal((batch, length, d)))
+
+    def loss():
+        return T.sum_all(T.mul(S.selective_scan(x, ssm), w))
+
+    with T.GradTape() as tape:
+        tape.backward(loss())
+    h = 1e-6
+    for name, p in {"x": x, **ssm}.items():
+        direction = rng.standard_normal(p.shape)
+        base = p.data.copy()
+        p.data[...] = base + h * direction
+        up = float(loss().data)
+        p.data[...] = base - h * direction
+        down = float(loss().data)
+        p.data[...] = base
+        along = float((p.grad * direction).sum())
+        assert abs((up - down) / (2 * h) - along) < 1e-6 * abs(along), name
 
 
 def test_scan_tape_replays_once():
