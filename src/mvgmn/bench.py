@@ -177,7 +177,9 @@ def run_scaling_bench(
     Every model config is checked before any parameter or grid is drawn, so
     a bad aggregator or length fails at once. Each length's grid is drawn
     once and shared by every aggregator; the sweep is then timed round-robin
-    by ``median_call_ns``.
+    by ``median_call_ns`` in length-major order, so one length's aggregators
+    are sampled next to each other in every pass. Records come back in
+    (aggregator, length) order.
     """
     if repeats < 5:
         raise ConfigurationError("repeats must be at least 5")
@@ -195,14 +197,19 @@ def run_scaling_bench(
     cases = [(aggregator, length) for aggregator in aggregators for length in lengths]
     configs = [_bench_config(aggregator, length, width) for aggregator, length in cases]
     grids = {length: _bench_grid(length, width) for length in lengths}
+    timed = sorted(range(len(cases)), key=lambda i: cases[i][1])  # length-major
     calls = [
-        partial(forward_grid_batch, init_state(config, seed=0, dtype=np.float32), grids[length])
-        for config, (_, length) in zip(configs, cases)
+        partial(
+            forward_grid_batch,
+            init_state(configs[i], seed=0, dtype=np.float32),
+            grids[cases[i][1]],
+        )
+        for i in timed
     ]
-    medians = median_call_ns(calls, repeats)
+    medians = dict(zip(timed, median_call_ns(calls, repeats)))
     return [
-        BenchRecord(aggregator=aggregator, length=length, median_ns=median, repeats=repeats)
-        for (aggregator, length), median in zip(cases, medians)
+        BenchRecord(aggregator=aggregator, length=length, median_ns=medians[i], repeats=repeats)
+        for i, (aggregator, length) in enumerate(cases)
     ]
 
 

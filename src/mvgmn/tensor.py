@@ -266,11 +266,6 @@ def sigmoid_stable(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
-    return custom_op(out_data, [a], lambda g: [np.broadcast_to(g, a.data.shape).copy()])
-
-
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     n = a.data.shape[axis]
 
@@ -401,50 +396,3 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         return [gx, gk, gb]
 
     return custom_op(out_data, [x, kernel, bias], backward)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-# ---------------------------------------------------------------------------
-
-
-def check_gradients(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    h: float = 1e-5,
-) -> float:
-    """Compare tape gradients against central finite differences.
-
-    ``loss_fn`` must rebuild the graph from the current parameter values and
-    return a scalar loss. Returns the worst relative error over every scalar
-    parameter entry, with the hybrid denominator max(1, |fd|, |analytic|).
-    """
-    params = list(params)
-    for p in params:
-        if p.data.dtype != np.float64:
-            raise ConfigurationError("check_gradients requires float64 parameters")
-    with GradTape() as tape:
-        tape.backward(loss_fn())
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-    for p in params:
-        p.grad = None
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(loss_fn().data)
-            flat[i] = orig - h
-            f_minus = float(loss_fn().data)
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError("finite-difference evaluation is non-finite")
-            fd = (f_plus - f_minus) / (2.0 * h)
-            err = abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i]))
-            worst = max(worst, err)
-    return worst

@@ -21,8 +21,9 @@ from mvgmn import train as TR
 from mvgmn import tensor as T
 from mvgmn.cli import main as cli_main
 from mvgmn.rng import Xoshiro256pp
-from mvgmn.tensor import Tensor, check_gradients
+from mvgmn.tensor import Tensor
 
+from gradcheck import check_gradients
 from test_graph import brute_force_knn, brute_force_rule_edges, knn_edge_set, rule_edge_sets
 from test_scan import selective_scan_reference
 

@@ -118,8 +118,12 @@ def test_each_length_draws_one_grid_for_every_aggregator(monkeypatch):
     )
     assert len(records) == len(timed) == 8
     assert len(seeds) == len(set(seeds)) == 4
-    for ssm_call, linear_call in zip(timed[:4], timed[4:]):
+    # timed length-major, so each length's two calls are adjacent
+    for ssm_call, linear_call in zip(timed[0::2], timed[1::2]):
         assert ssm_call.args[1] is linear_call.args[1]
+    assert [(r.aggregator, r.length) for r in records] == [
+        (aggregator, length) for aggregator in ("ssm", "linear") for length in (64, 128, 256, 512)
+    ]
 
 
 def busy_call(log, tag, cpu_ns=1_000_000):
@@ -154,7 +158,8 @@ def test_median_call_ns_pins_one_core_and_restores():
 @pytest.mark.timing
 def test_repeated_runs_are_stable():
     # timing stability gate: identical config twice, L=1024 medians within 20%.
-    # Both sweeps are sampled round-robin in one timer call, so a slow stretch
+    # Both sweeps are sampled round-robin in one timer call, length-major, so
+    # the two L=1024 calls run back to back in every pass and a slow stretch
     # of the host lands on both medians, not on one sweep only
     records = B.run_scaling_bench(
         aggregators=("ssm", "ssm"), lengths=(128, 256, 512, 1024), width=8, repeats=5

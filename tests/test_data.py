@@ -224,6 +224,14 @@ def test_generator_deterministic(tmp_path):
     assert D.dataset_digest(tmp_path / "a") != D.dataset_digest(tmp_path / "c")
 
 
+def test_dataset_digest_is_pinned(tmp_path):
+    # a stream that changed consistently would still reproduce its own digest
+    D.generate_synthetic(D.SyntheticSpec(samples_per_class=2, seed=3), tmp_path)
+    assert D.dataset_digest(tmp_path) == (
+        "2df313e35bd4b00a2fdc8b48bdec6b848f8f95d84b88a90ce0e1324f8271351a"
+    )
+
+
 def test_manifest_schema_and_shapes(tmp_path):
     manifest = D.generate_synthetic(SMALL, tmp_path)
     assert manifest["version"] == 1

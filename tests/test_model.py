@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import asdict
 
@@ -12,7 +13,8 @@ from mvgmn import tensor as T
 from mvgmn import train as TR
 from mvgmn.errors import ConfigurationError, FormatError, InputError
 from mvgmn.rng import Xoshiro256pp
-from mvgmn.tensor import Tensor, check_gradients
+from mvgmn.tensor import Tensor
+from gradcheck import check_gradients
 
 
 def tiny_config(**overrides):
@@ -302,6 +304,25 @@ def test_end_to_end_gradients_every_parameter_at_batch_two():
         return T.softmax_cross_entropy(logits, labels)
 
     assert check_gradients(loss, list(state.params.values()), h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (tiny_config(), "57189ba2a153ede163cadde74a70a05ce059b49080491e81361c49377bed3a1f"),
+        (
+            M.config_for_dataset(D.SyntheticSpec()),
+            "51e505c1de6ebe2ebcbc9aa9bd7f18462c93a6414dba240b762e86619c89cd05",
+        ),
+    ],
+    ids=["tiny", "default_recipe"],
+)
+def test_init_state_bytes_are_pinned(config, digest):
+    h = hashlib.sha256()
+    for name, t in M.init_state(config, seed=0).params.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(t.data).tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

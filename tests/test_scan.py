@@ -9,7 +9,8 @@ from mvgmn import scan as S
 from mvgmn import tensor as T
 from mvgmn.errors import ConfigurationError, InputError
 from mvgmn.model import ModelConfig
-from mvgmn.tensor import Tensor, check_gradients
+from mvgmn.tensor import Tensor
+from gradcheck import check_gradients, sum_all
 
 
 def make_rows(v, t, d, seed=0, dtype=np.float64):
@@ -289,7 +290,7 @@ def test_scan_gradients_match_finite_differences():
 
     def loss():
         out = S.selective_scan(x, ssm)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
 
@@ -301,7 +302,7 @@ def test_scan_batched_gradients():
 
     def loss():
         out = S.selective_scan(x, ssm)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
 
@@ -319,7 +320,7 @@ def test_short_scan_gradients_match_finite_differences(batch, length):
 
     def loss():
         out = S.selective_scan(x, ssm)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, *ssm.values()], h=1e-5) < 1e-4
 
@@ -334,7 +335,7 @@ def test_scan_directional_gradients_at_train_shape():
     w = Tensor(rng.standard_normal((batch, length, d)))
 
     def loss():
-        return T.sum_all(T.mul(S.selective_scan(x, ssm), w))
+        return sum_all(T.mul(S.selective_scan(x, ssm), w))
 
     with T.GradTape() as tape:
         tape.backward(loss())
@@ -357,7 +358,7 @@ def test_scan_tape_replays_once():
     ssm = make_ssm(3, 2, seed=25)
     x = Tensor(np.random.default_rng(26).standard_normal((2, 5, 3)), requires_grad=True)
     with T.GradTape() as tape:
-        loss = T.sum_all(S.selective_scan(x, ssm))
+        loss = sum_all(S.selective_scan(x, ssm))
         tape.backward(loss)
         first = ssm["a_log"].grad.copy()
         with pytest.raises(ConfigurationError, match="replays once"):
@@ -443,7 +444,7 @@ def test_mamba_layer_gradients():
 
     def loss():
         out = S.mamba_layer(x, layer)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, *layer.values()], h=1e-5) < 1e-4
 

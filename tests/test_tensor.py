@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from mvgmn.errors import ConfigurationError, DimensionError, NumericError
 from mvgmn import tensor as T
-from mvgmn.tensor import GradTape, Tensor, check_gradients
+from mvgmn.tensor import GradTape, Tensor
+from gradcheck import check_gradients, sum_all
 
 
 def _rand(shape, seed, dtype=np.float64):
@@ -67,7 +68,7 @@ def test_matmul_applies_a_weight_across_a_stack():
     with GradTape() as tape:
         y = T.matmul(x, w)
         assert len(tape) == 1
-        tape.backward(T.sum_all(y))
+        tape.backward(sum_all(y))
     rows = x.data.reshape(-1, 4)
     expect = (rows @ w.data).reshape(2, 5, 3)
     assert y.data.shape == expect.shape and y.data.tobytes() == expect.tobytes()
@@ -215,7 +216,7 @@ def test_linear_loss_gradient_is_input():
     x = _rand((4, 2), 6)
 
     def loss():
-        return T.sum_all(T.matmul(w, x))
+        return sum_all(T.matmul(w, x))
 
     assert check_gradients(loss, [w], h=1e-5) < 1e-10
 
@@ -223,7 +224,7 @@ def test_linear_loss_gradient_is_input():
 def test_fanout_gradients_accumulate():
     w = Tensor(np.array([2.0]), requires_grad=True)
     with GradTape() as tape:
-        y = T.sum_all(T.add(T.mul(w, 3.0), T.mul(w, 4.0)))
+        y = sum_all(T.add(T.mul(w, 3.0), T.mul(w, 4.0)))
         tape.backward(y)
     np.testing.assert_allclose(w.grad, [7.0])
 
@@ -251,7 +252,7 @@ def test_tape_records_only_ops_that_need_gradients(monkeypatch):
         assert len(tape) == 0 and const.requires is False
         y = T.matmul(c, w)
         assert len(tape) == 1 and y.requires is True
-        loss = T.sum_all(y)
+        loss = sum_all(y)
         calls = []
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul", lambda *args: calls.append(1) or matmul(*args))
@@ -288,7 +289,7 @@ def test_check_gradients_rejects_non_scalar_and_non_finite_loss():
 def test_check_gradients_requires_float64():
     w = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ConfigurationError):
-        check_gradients(lambda: T.sum_all(w), [w])
+        check_gradients(lambda: sum_all(w), [w])
 
 
 def test_float32_preserved_through_ops():
@@ -326,7 +327,7 @@ def test_op_gradients_match_finite_differences(name):
 
     def loss():
         out = op(p, x)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [p], h=1e-5) < 1e-4
 
@@ -339,7 +340,7 @@ def test_matmul_gradients(b_shape):
     b = _param(b_shape, 22)
 
     def loss():
-        return T.sum_all(T.matmul(a, b))
+        return sum_all(T.matmul(a, b))
 
     assert check_gradients(loss, [a, b], h=1e-5) < 1e-4
 
@@ -361,7 +362,7 @@ def test_attention_gradients(q_shape, k_shape, v_shape, requires):
 
     def loss():
         out = T.attention(q, k, v)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, params, h=1e-5) < 1e-4
     # check_gradients clears the parameters' gradients; a constant never gets one
@@ -378,7 +379,7 @@ def test_conv1d_gradients(kernel_shape):
 
     def loss():
         out = T.conv1d(x, kernel, bias)
-        return T.sum_all(T.mul(out, out))
+        return sum_all(T.mul(out, out))
 
     assert check_gradients(loss, [x, kernel, bias], h=1e-5) < 1e-4
 
